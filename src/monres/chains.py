@@ -151,10 +151,6 @@ def initial_part(ideal, c: Chain) -> Chain:
     return Chain(c.field, keep, dim=c.dim)
 
 
-def is_taylor_chain(ideal, c: Chain) -> bool:
-    return not initial_part(ideal, c).is_zero()
-
-
 def is_taylor_chain_at(lattice, c: Chain, m_id: int) -> bool:
     """True iff some face has closure equal to the closure of supp(c), both = A_m."""
     if c.is_zero():
@@ -232,6 +228,8 @@ def parse_chain(field: Field, text: str) -> Chain:
             coeff = field.mul(sign, field.of(coeff_text))
         else:
             coeff, face_text = sign, chunk
+        if not face_text:
+            raise ValueError(f"empty term in chain {text!r}")
         f = parse_face(face_text)
         terms[f] = field.add(terms.get(f, field.zero), coeff)
     return Chain(field, terms)

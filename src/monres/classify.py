@@ -351,14 +351,6 @@ def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
                        sample_ok, sample_fail, certified)
 
 
-def is_homology_linear(lat: LcmLattice, field: Field, max_params: int = 40) -> ClassVerdict:
-    return classify(lat, field, max_params)["homology_linear"]
-
-
-def is_strongly_homology_linear(lat: LcmLattice, field: Field, max_params: int = 40) -> ClassVerdict:
-    return classify(lat, field, max_params)["strongly_homology_linear"]
-
-
 def classify(lat: LcmLattice, field: Field, max_params: int = 40) -> ClassificationReport:
     report = ClassificationReport()
     scarf = is_scarf(lat, field)

@@ -1,9 +1,10 @@
 """Command line front-end.
 
 Commands take an ideal file (``vars a b c; gens a^2 a*b ...``) or a
-lattice JSON dump; ``--char`` (or MONRES_FIELD) picks the coefficient
-field, ``--json`` switches the output format.  Exit codes: 0 success,
-2 verification failure, 3 parse error, 4 precondition violation.
+lattice JSON dump; ``--char``, else the file's ``char p;``, else
+MONRES_FIELD picks the coefficient field, ``--json`` switches the output
+format.  Exit codes: 0 success, 2 verification failure, 3 parse error,
+4 precondition violation.
 """
 
 from __future__ import annotations
@@ -39,21 +40,20 @@ def _read_input(path: str) -> str:
 
 
 def _load_lattice(path: str, minimize_gens: bool):
+    """(lattice, the file's ``char`` statement or None)."""
     text = _read_input(path)
     if text.lstrip().startswith("{"):
-        return LcmLattice.from_json(text)
+        return LcmLattice.from_json(text), None
     ideal, char = parse_ideal_text(text, minimize=minimize_gens)
-    lat = LcmLattice.from_ideal(ideal)
-    lat.file_char = char
-    return lat
+    return LcmLattice.from_ideal(ideal), char
 
 
-def _field(args, lat=None) -> Field:
+def _field(args, char) -> Field:
+    """``--char``, else the input's ``char`` statement, else MONRES_FIELD, else QQ."""
     if args.char is not None:
         return Field(args.char)
-    file_char = getattr(lat, "file_char", None)
-    if file_char is not None:
-        return Field(file_char)
+    if char is not None:
+        return Field(char)
     env = os.environ.get("MONRES_FIELD")
     if env:
         return Field(int(env))
@@ -69,7 +69,7 @@ def _facet_key(f):
 
 
 def cmd_lattice(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
+    lat, _ = _load_lattice(args.input, args.minimize_gens)
     if args.json:
         _print(lat.to_json())
     else:
@@ -82,10 +82,8 @@ def cmd_lattice(args):
 
 
 def cmd_betti(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
-    if args.jobs > 1:
-        lat.compute_homologies(field, jobs=args.jobs)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     table = lat.betti_numbers(field)
     names = lat.ideal.names
     totals: dict = {}
@@ -118,28 +116,28 @@ def _emit_resolution(args, C, extra_text=""):
 
 
 def cmd_taylor(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     return _emit_resolution(args, taylor_resolution(lat.ideal, field))
 
 
 def cmd_minimize(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     C, basis = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
     return _emit_resolution(args, C, "taylor basis:\n" + basis.to_text())
 
 
 def cmd_resolve(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     basis, C = atomic_lattice_resolution(lat, field)
     return _emit_resolution(args, C, "taylor basis:\n" + basis.to_text())
 
 
 def cmd_approx(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     _, C = atomic_lattice_resolution(lat, field)
     A = maximal_approximation(C)
     code = _emit_resolution(args, A)
@@ -194,24 +192,22 @@ def _emit_construction(args, lat, out):
 
 
 def cmd_poset(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     hb, _ = _load_choices(lat, field, args.choices) if args.choices else (None, {})
     return _emit_construction(args, lat, poset_construction(lat, field, hb))
 
 
 def cmd_rlm(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     hb, preimages = _load_choices(lat, field, args.choices) if args.choices else (None, {})
     return _emit_construction(args, lat, rlm_construction(lat, field, hb, preimages=preimages))
 
 
 def cmd_classify(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
-    field = _field(args, lat)
-    if args.jobs > 1:
-        lat.compute_homologies(field, jobs=args.jobs)
+    lat, char = _load_lattice(args.input, args.minimize_gens)
+    field = _field(args, char)
     report = classify(lat, field)
     if args.json:
         doc = {name: {"verdict": v, "witness": w} for name, v, w in report.rows()}
@@ -240,7 +236,7 @@ def cmd_verify(args):
 
 
 def cmd_scarf(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
+    lat, _ = _load_lattice(args.input, args.minimize_gens)
     faces = scarf_complex(lat)
     if args.json:
         _print(json.dumps({"faces": [list(f) for f in faces]}))
@@ -261,7 +257,7 @@ def cmd_random(args):
 
 
 def cmd_bound(args):
-    lat = _load_lattice(args.input, args.minimize_gens)
+    lat, _ = _load_lattice(args.input, args.minimize_gens)
     _print(str(projdim_bound(lat)))
     return EXIT_OK
 
@@ -274,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--char", type=int, default=None,
                         help="field characteristic (0 = rationals; default from MONRES_FIELD or 0)")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for per-element homology")
     parser.add_argument("--minimize-gens", action="store_true",
                         help="drop redundant generators instead of rejecting them")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,9 +1,10 @@
 """The lcm-lattice of a monomial ideal, with generator-support labels.
 
 Every element m carries the label ``A_m``: the set of generator indices
-dividing m.  Divisibility order is exactly label inclusion, so closure,
-meets and joins are pure set computations; the companion simplicial
-complex at m has the labels of the covered elements as facets.
+dividing m.  Divisibility order is exactly label inclusion, so meets are
+label intersections and the closure of a generator set is the label of
+its lcm; the companion simplicial complex at m has the labels of the
+covered elements as facets.
 
 Abstract atomic lattices (given only by their labels, e.g. through the
 JSON dump format) are supported by synthesising a monomial ideal with
@@ -19,10 +20,9 @@ from itertools import combinations
 
 from monres.linalg import Field
 from monres.monomials import Monomial, MonomialIdeal, parse_monomial
-from monres.vcomplex import prune_facets, reduced_homology
+from monres.vcomplex import reduced_homology
 
 MAX_ATOMS = 63
-SUBSET_ENUM_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -52,26 +52,30 @@ class LcmLattice:
         labels = [frozenset(A) for _, A in data]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate element labels")
-        below = [[False] * len(data) for _ in data]
-        for i, (_, Ai) in enumerate(data):
-            for j, (_, Aj) in enumerate(data):
-                below[i][j] = frozenset(Ai) < frozenset(Aj)
-        covers_of = [[] for _ in data]
+        # degree order is a linear extension, so the elements below j precede it;
+        # its covers are the maximal ones, found largest label first
+        covers_of: list = []
+        ranks: list = []
+        for j, Aj in enumerate(labels):
+            maximal: list = []
+            for i in sorted((i for i in range(j) if labels[i] < Aj), key=lambda i: -len(labels[i])):
+                if not any(labels[i] < labels[k] for k in maximal):
+                    maximal.append(i)
+            covers_of.append(sorted(maximal))
+            ranks.append(1 + max((ranks[i] for i in maximal), default=-1))
         covered_by = [[] for _ in data]
-        for j in range(len(data)):
-            for i in range(len(data)):
-                if below[i][j] and not any(below[i][k] and below[k][j] for k in range(len(data))):
-                    covers_of[j].append(i)
-                    covered_by[i].append(j)
-        ranks = [0] * len(data)
-        for j in range(len(data)):  # degree order is a linear extension
-            ranks[j] = 1 + max((ranks[i] for i in covers_of[j]), default=-1)
+        for j, cov in enumerate(covers_of):
+            for i in cov:
+                covered_by[i].append(j)
         self.elements = [
-            LatticeElement(i, data[i][0], frozenset(data[i][1]), ranks[i],
+            LatticeElement(i, data[i][0], labels[i], ranks[i],
                            tuple(covers_of[i]), tuple(covered_by[i]))
             for i in range(len(data))
         ]
         self.by_label = {e.A: e.id for e in self.elements}
+        self._by_mdeg = {e.mdeg.exponents: e for e in self.elements}
+        # exponent vectors: 0 is the bottom (the lcm of no generator), i is g_i
+        self._exponents = [ideal.one().exponents] + [g.exponents for g in ideal.gens]
         self.bottom = self.by_label[frozenset()]
         self.top = self.by_label[frozenset(range(1, self.r + 1))]
         self.atom_ids = [self.by_label[frozenset([i])] for i in range(1, self.r + 1)]
@@ -82,31 +86,23 @@ class LcmLattice:
     def from_ideal(ideal: MonomialIdeal) -> "LcmLattice":
         if ideal.r > MAX_ATOMS:
             raise ValueError(f"at most {MAX_ATOMS} generators supported")
-        mdegs: dict = {}
-        if ideal.r <= SUBSET_ENUM_LIMIT:
-            for size in range(ideal.r + 1):
-                for A in combinations(range(1, ideal.r + 1), size):
-                    m = ideal.mdeg_of_subset(A)
-                    mdegs.setdefault(m.exponents, m)
-        else:
-            # join-closure from the atoms, avoiding the 2^r sweep
-            mdegs[ideal.one().exponents] = ideal.one()
-            frontier = {g.exponents: g for g in ideal.gens}
-            mdegs.update(frontier)
-            while frontier:
-                new: dict = {}
-                for _, m in sorted(frontier.items()):
-                    for g in ideal.gens:
-                        j = m.lcm(g)
-                        if j.exponents not in mdegs and j.exponents not in new:
-                            new[j.exponents] = j
-                mdegs.update(new)
-                frontier = new
-        elements = []
-        for m in mdegs.values():
-            A = frozenset(i for i in range(1, ideal.r + 1) if ideal.generator(i).divides(m))
-            elements.append((m, A))
-        return LcmLattice(ideal, elements)
+        # join-closure from the bottom: every lcm is a chain of joins with atoms
+        one = ideal.one()
+        mdegs = {one.exponents: one}
+        frontier = [one]
+        while frontier:
+            new: dict = {}
+            for m in frontier:
+                for g in ideal.gens:
+                    j = m.lcm(g)
+                    if j.exponents not in mdegs:
+                        new[j.exponents] = j
+            mdegs.update(new)
+            frontier = list(new.values())
+        return LcmLattice(ideal, [
+            (m, frozenset(i for i, g in enumerate(ideal.gens, start=1) if g.divides(m)))
+            for m in mdegs.values()
+        ])
 
     @staticmethod
     def from_labels(labels) -> "LcmLattice":
@@ -164,21 +160,13 @@ class LcmLattice:
     def lt(self, a: int, b: int) -> bool:
         return self.elements[a].A < self.elements[b].A
 
-    def below(self, m_id: int, strict: bool = True):
-        """Ids of elements <= m (or < m), in canonical element order."""
-        A = self.elements[m_id].A
-        return [e.id for e in self.elements if e.A < A or (not strict and e.A == A)]
-
     def closure(self, A) -> frozenset:
-        """Smallest label containing A: intersection of all labels above A."""
+        """Smallest label containing A: the label of the element lcm(A)."""
         A = frozenset(A)
-        out = frozenset(range(1, self.r + 1))
-        for lbl in self.by_label:
-            if A <= lbl and lbl < out:
-                out = lbl
-        if not A <= out:
+        if not A <= self.elements[self.top].A:
             raise ValueError(f"subset {sorted(A)} out of range")
-        return out
+        cols = zip(self._exponents[0], *(self._exponents[i] for i in A))
+        return self._by_mdeg[tuple(map(max, cols))].A
 
     def closure_id(self, A) -> int:
         return self.by_label[self.closure(A)]
@@ -188,9 +176,6 @@ class LcmLattice:
 
     def join(self, a: int, b: int) -> int:
         return self.by_label[self.closure(self.elements[a].A | self.elements[b].A)]
-
-    def rank_of(self, m_id: int) -> int:
-        return self.elements[m_id].rank
 
     def lattice_rank(self) -> int:
         return self.elements[self.top].rank
@@ -202,7 +187,8 @@ class LcmLattice:
         e = self.elements[m_id]
         if e.rank == 1:
             return SimplicialComplexAt(m_id, ((),))
-        facets = prune_facets(tuple(sorted(self.elements[c].A)) for c in e.covers)
+        # maximal elements below m: their labels are an antichain, hence facets
+        facets = sorted(tuple(sorted(self.elements[c].A)) for c in e.covers)
         return SimplicialComplexAt(m_id, tuple(facets))
 
     def q_faces(self, m_id: int):
@@ -219,19 +205,15 @@ class LcmLattice:
         return out
 
     def is_scarf_multidegree(self, m_id: int) -> bool:
-        """True iff exactly one subset of the generators has this multidegree."""
+        """True iff exactly one subset of the generators has this multidegree.
+
+        The subsets with lcm m form an up-set in the subsets of A_m, so A_m
+        is the only one iff no A_m minus a vertex keeps the lcm.
+        """
         if m_id == self.bottom:
             raise ValueError("the bottom element is not a multidegree")
-        A = sorted(self.elements[m_id].A)
-        target = self.elements[m_id].A
-        count = 0
-        for size in range(len(A) + 1):
-            for sub in combinations(A, size):
-                if self.closure(sub) == target:
-                    count += 1
-                    if count > 1:
-                        return False
-        return count == 1
+        A = self.elements[m_id].A
+        return all(self.closure(A - {i}) != A for i in A)
 
     def scarf_ids(self):
         return [e.id for e in self.elements if e.id != self.bottom and self.is_scarf_multidegree(e.id)]
@@ -243,18 +225,6 @@ class LcmLattice:
         if m_id not in cache:
             cache[m_id] = reduced_homology(field, self.simplicial_complex_at(m_id).facets)
         return cache[m_id]
-
-    def compute_homologies(self, field: Field, jobs: int = 1):
-        ids = [e.id for e in self.elements if e.id != self.bottom]
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(lambda i: self.homology_at(i, field), ids))
-        else:
-            for i in ids:
-                self.homology_at(i, field)
-        return {i: self.homology_at(i, field) for i in ids}
 
     def betti_poset_ids(self, field: Field):
         """Bottom plus every element with nonvanishing reduced homology."""

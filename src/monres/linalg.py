@@ -166,9 +166,6 @@ class Matrix:
         z = self.field.zero
         return all(x == z for r in self.rows for x in r)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
-
     def stack_columns(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
@@ -314,8 +311,3 @@ def column_space_basis(m: Matrix):
             chosen.append(j)
             rank = r
     return chosen
-
-
-def in_column_span(m: Matrix, v) -> bool:
-    """True iff vector v lies in the column span of m."""
-    return m.solve(v) is not None

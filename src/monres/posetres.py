@@ -153,11 +153,6 @@ def intersection_facets(facets1, facets2):
     return tuple(prune_facets(out))
 
 
-def cycle_class_in(lat: LcmLattice, field: Field, m_id: int, cycle: Chain, hb: HomologyBasis):
-    """Coordinates of [cycle] in the fixed basis at (m, dim cycle)."""
-    return hb.class_coords(m_id, cycle)
-
-
 def sigma_map(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: Chain,
               hb: "HomologyBasis"):
     """Inclusion-induced class of a subcomplex cycle, in the fixed basis at m."""

@@ -18,7 +18,7 @@ from itertools import combinations
 from monres.chains import Chain, boundary, format_chain, mdeg_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.monomials import Monomial, MonomialIdeal, parse_monomial
+from monres.monomials import IdealParseError, Monomial, MonomialIdeal, parse_monomial
 from monres.vcomplex import BasedComplex, chain_to_coords, complex_of_facets, exact_closure
 
 
@@ -108,10 +108,6 @@ class MultigradedComplex:
                         return False
         return True
 
-    def to_based_complex(self) -> BasedComplex:
-        labels = [[e.label_str(self.ideal.names) for e in lv] for lv in self.levels]
-        return BasedComplex(self.field, labels, [None] + self.frames[1:])
-
     def restrict_to(self, m: Monomial) -> BasedComplex:
         """Frame of F(<= m): basis elements of multidegree dividing m."""
         keep = [[j for j, e in enumerate(lv) if e.mdeg.divides(m)] for lv in self.levels]
@@ -167,11 +163,11 @@ class MultigradedComplex:
             ])
         frames: list = [None]
         for i, rows in enumerate(doc["frames"], start=1):
-            m = Matrix(field, [[field.of(x) for x in row] for row in rows]) if rows else \
-                Matrix.zero(field, len(levels[i - 1]), len(levels[i]))
             if not rows:
-                pass
-            elif m.nrows != len(levels[i - 1]) or m.ncols != len(levels[i]):
+                frames.append(Matrix.zero(field, len(levels[i - 1]), len(levels[i])))
+                continue
+            m = Matrix(field, [[_frame_entry(field, x) for x in row] for row in rows])
+            if m.nrows != len(levels[i - 1]) or m.ncols != len(levels[i]):
                 raise ValueError("frame shape mismatch in JSON input")
             frames.append(m)
         return MultigradedComplex(ideal, field, levels, frames)
@@ -193,6 +189,13 @@ class MultigradedComplex:
         lines.append(f"degree 0: basis multidegrees [{self.levels[0][0].mdeg.to_str(names)}]"
                      if self.levels[0] else "degree 0: empty")
         return "\n".join(lines)
+
+
+def _frame_entry(field: Field, x):
+    try:
+        return field.of(x)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise IdealParseError(f"frame entry {x!r} is not an element of {field}") from e
 
 
 def _format_s_entry(field: Field, scalar, quot: Monomial, names) -> str:

@@ -92,9 +92,6 @@ class BasedComplex:
     def is_exact(self) -> bool:
         return all(self.homology(i)[0] == 0 for i in range(self.length + 1))
 
-    def homology_dims(self):
-        return [self.homology(i)[0] for i in range(self.length + 1)]
-
 
 def exact_closure(U: BasedComplex, namer=None):
     """Minimal exact complex containing U as a based subcomplex.

@@ -97,6 +97,9 @@ def test_format_parse_roundtrip():
     for text in ("1245-1456+1234", "-1+2", "3*12-1/2*13", "123"):
         c = ch(text)
         assert parse_chain(QQ, format_chain(c)) == c
+    for text in ("1+", "1++2", "+"):
+        with pytest.raises(ValueError, match="empty term"):
+            ch(text)
 
 
 def test_format_many_vertices():

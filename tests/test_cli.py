@@ -149,6 +149,38 @@ def test_char_flag_and_env(capsys, ideal_file, monkeypatch):
     assert code == 4  # not a prime
 
 
+def test_char_statement_in_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "char2.ideal"
+    path.write_text("vars x y z; gens x*y x*z y*z; char 2;\n")
+
+    def char_used(*flags):
+        code, out = run(capsys, *flags, "--json", "taylor", str(path))
+        assert code == 0
+        return json.loads(out)["char"]
+
+    monkeypatch.delenv("MONRES_FIELD", raising=False)
+    assert char_used() == 2
+    assert char_used("--char", "3") == 3
+    assert char_used("--char", "0") == 0
+    monkeypatch.setenv("MONRES_FIELD", "5")
+    assert char_used() == 2
+    assert char_used("--char", "3") == 3
+
+
+def test_verify_bad_number_is_parse_error(capsys, ideal_file, tmp_path):
+    code, out = run(capsys, "--json", "resolve", ideal_file("triangle"))
+    assert code == 0
+    dump = tmp_path / "bad.json"
+    for char, entry in ((0, "1/0"), (32003, "1/32003")):
+        doc = json.loads(out)
+        doc["char"] = char
+        doc["frames"][0][0][0] = entry
+        dump.write_text(json.dumps(doc))
+        assert main(["verify", str(dump)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and entry in err
+
+
 def test_lattice_json_input(capsys, ideal_file, tmp_path):
     code, out = run(capsys, "--json", "lattice", ideal_file("cone3"))
     lat_file = tmp_path / "lat.json"
@@ -163,12 +195,6 @@ def test_lattice_json_input(capsys, ideal_file, tmp_path):
     code, out3 = run(capsys, "betti", str(abstract))
     assert code == 0
     assert out3.strip().splitlines()[-1] == "totals: 1 3 2"
-
-
-def test_jobs_flag(capsys, ideal_file):
-    code, out = run(capsys, "--jobs", "3", "betti", ideal_file("four_gens"))
-    assert code == 0
-    assert out.strip().splitlines()[-1] == "totals: 1 4 4 1"
 
 
 def test_bound_command(capsys, ideal_file):

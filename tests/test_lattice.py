@@ -1,15 +1,17 @@
 """The lcm-lattice: labels, closure, covers, complexes, Betti poset."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.lattice import LcmLattice
 from monres.linalg import Field
-from monres.monomials import parse_ideal_text
+from monres.monomials import Monomial, parse_ideal_text, random_minimal_ideal
 
-from conftest import random_corpus
+from conftest import LATTICES, random_corpus
 
 
 QQ = Field(0)
@@ -181,10 +183,92 @@ def test_json_roundtrip(lattices):
     assert labels_of(again2) == labels_of(abstract)
 
 
-def test_jobs_parallel_homology(lattices, QQ):
-    lat = LcmLattice.from_ideal(lattices["triangle"].ideal)
-    seq = lat.compute_homologies(QQ)
-    lat2 = LcmLattice.from_ideal(lattices["triangle"].ideal)
-    par = lat2.compute_homologies(QQ, jobs=4)
-    assert {k: {d: n for d, (n, _) in v.items()} for k, v in seq.items()} == \
-           {k: {d: n for d, (n, _) in v.items()} for k, v in par.items()}
+# -- differential check against the direct algorithms ---------------------
+#
+# The references below compute everything from the definitions: every
+# subset of the generators, every pair and triple of labels.  They are
+# exponential or cubic and serve only as the oracle for LcmLattice.
+
+
+def ref_mdeg_counts(ideal):
+    """mdeg exponents -> number of generator subsets with that lcm (the 2^r sweep)."""
+    counts = Counter()
+    for size in range(ideal.r + 1):
+        for A in combinations(range(1, ideal.r + 1), size):
+            counts[ideal.mdeg_of_subset(A).exponents] += 1
+    return counts
+
+
+def ref_covers(labels):
+    """(covers, covered_by) from the strict-inclusion matrix, by the triple loop."""
+    n = len(labels)
+    below = [[labels[i] < labels[j] for j in range(n)] for i in range(n)]
+    covers, covered_by = [[] for _ in labels], [[] for _ in labels]
+    for j in range(n):
+        for i in range(n):
+            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n)):
+                covers[j].append(i)
+                covered_by[i].append(j)
+    return covers, covered_by
+
+
+def ref_closure(labels, r, A):
+    """Smallest label containing A, by scanning every label."""
+    out = frozenset(range(1, r + 1))
+    for lbl in labels:
+        if A <= lbl and lbl < out:
+            out = lbl
+    return out
+
+
+def assert_matches_reference(lat, subsets):
+    ideal = lat.ideal
+    counts = ref_mdeg_counts(ideal)
+    mdegs = sorted((Monomial(e) for e in counts), key=lambda m: m.sort_key())
+    labels = [frozenset(i for i in range(1, ideal.r + 1) if ideal.generator(i).divides(m))
+              for m in mdegs]
+    covers, covered_by = ref_covers(labels)
+    ranks = []
+    for cov in covers:
+        ranks.append(1 + max((ranks[i] for i in cov), default=-1))
+    assert [e.id for e in lat.elements] == list(range(len(mdegs)))
+    assert [e.mdeg for e in lat.elements] == mdegs
+    assert [e.A for e in lat.elements] == labels
+    assert [list(e.covers) for e in lat.elements] == covers
+    assert [list(e.covered_by) for e in lat.elements] == covered_by
+    assert [e.rank for e in lat.elements] == ranks
+    for A in subsets:
+        assert lat.closure(A) == ref_closure(labels, ideal.r, frozenset(A))
+    for e in lat.elements:
+        if e.id != lat.bottom:
+            assert lat.is_scarf_multidegree(e.id) == (counts[e.mdeg.exponents] == 1)
+
+
+@st.composite
+def small_ideals(draw):
+    """Ideals with r <= 9 minimal generators in n <= 5 variables, exponents <= 3."""
+    # counted down from the largest sizes, which hypothesis would otherwise rarely draw
+    n = 5 - draw(st.integers(0, 4))
+    r = 9 - draw(st.integers(0, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        try:
+            return random_minimal_ideal(r, n, 3, rng)
+        except RuntimeError:
+            r -= 1  # no antichain of that size in the grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lattice_matches_reference_on_generated_ideals(data):
+    ideal = data.draw(small_ideals())
+    subsets = data.draw(st.lists(st.frozensets(st.integers(1, ideal.r)), max_size=12))
+    assert_matches_reference(LcmLattice.from_ideal(ideal), subsets)
+
+
+def test_lattice_matches_reference_on_label_lattices():
+    for labels in LATTICES.values():
+        lat = LcmLattice.from_labels(labels)
+        subsets = [frozenset(A) for size in range(lat.r + 1)
+                   for A in combinations(range(1, lat.r + 1), size)]
+        assert_matches_reference(lat, subsets)
