@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from monres.chains import Chain
 from monres.lattice import LcmLattice
-from monres.linalg import Field, Matrix
+from monres.linalg import Field, Matrix, column_space_basis
 from monres.posetres import (HomologyBasis, poset_construction, rlm_construction,
                              rlm_symbolic, certified_constant_rank)
-from monres.resolutions import _MasterChains, lift_cycle_in_simplex
+# lift_cycle_in_simplex is only re-exported: bench/test_bench.py checks, on
+# this binding, that the tracer also patches a function another module bound.
+from monres.resolutions import closure_walk, lift_cycle_in_simplex  # noqa: F401
 
 
 @dataclass
@@ -173,24 +174,15 @@ def is_betti_linear(lat: LcmLattice, field: Field, hb: HomologyBasis | None = No
 def lattice_linear_greedy(lat: LcmLattice, field: Field):
     """Greedy certificate run: every exact-closure cycle must be spanned by
     chains at elements covered by m.  Returns (ok, witness element id)."""
-    master = _MasterChains(field)
-    gamma: dict = {e.id: [] for e in lat.elements}
-    bot = master.add(Chain.from_face(field, ()), lat.bottom, [])
-    gamma[lat.bottom].append(bot)
-    for i, atom in enumerate(lat.atom_ids, start=1):
-        gamma[atom].append(master.add(Chain.from_face(field, (i,)), atom, [(bot, field.one)]))
-    for e in lat.elements:
-        if e.rank < 2:
-            continue
-        m_id = e.id
-        idxs = [k for k in range(len(master.chains)) if lat.lt(master.elt[k], m_id)]
-        U, labels = master.complex_on(idxs)
+
+    def covered_cycles(e, U, elts):
         covered = set(e.covers)
+        picks = {}
         for level in range(U.length + 1):
             mu, _ = U.homology(level)
             if mu == 0:
                 continue
-            cov_pos = [j for j, k in enumerate(labels[level]) if master.elt[k] in covered]
+            cov_pos = [j for j, m in enumerate(elts[level]) if m in covered]
             d_i = U.differential(level)
             if level == 0:
                 kernel_cols = Matrix.identity(field, len(cov_pos)).columns() if cov_pos else []
@@ -203,24 +195,15 @@ def lattice_linear_greedy(lat: LcmLattice, field: Field):
                     v[j] = val
                 embedded.append(v)
             d_up = U.differential(level + 1)
-            base = [d_up.column(j) for j in range(d_up.ncols)]
-            picked = []
-            rank = Matrix.from_columns(field, U.level_dim(level), base).rank()
-            for v in embedded:
-                if len(picked) == mu:
-                    break
-                cand = Matrix.from_columns(field, U.level_dim(level), base + picked + [v])
-                if cand.rank() > rank + len(picked):
-                    picked.append(v)
+            both = d_up.stack_columns(Matrix.from_columns(field, d_up.nrows, embedded))
+            picked = [embedded[p - d_up.ncols] for p in column_space_basis(both) if p >= d_up.ncols]
             if len(picked) < mu:
-                return False, m_id
-            for v in picked:
-                pairs = [(coeff, master.chains[k]) for coeff, k in zip(v, labels[level])]
-                z = Chain.combine(field, pairs, dim=level - 1)
-                g = lift_cycle_in_simplex(field, z, e.A)
-                dexp = [(k, coeff) for coeff, k in zip(v, labels[level]) if coeff != field.zero]
-                gamma[m_id].append(master.add(g, m_id, dexp))
-    return True, None
+                return None
+            picks[level] = picked[:mu]
+        return picks
+
+    _, blocked = closure_walk(lat, field, covered_cycles)
+    return blocked is None, blocked
 
 
 def is_lattice_linear(lat: LcmLattice, field: Field, scarf: ClassVerdict | None = None) -> ClassVerdict:

@@ -146,6 +146,15 @@ def cmd_approx(args):
     return code
 
 
+def _choice_chain(field, text):
+    if not isinstance(text, str):
+        raise IdealParseError(f"chain {text!r} in the choices file is not a string")
+    try:
+        return parse_chain(field, text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise IdealParseError(f"chain {text!r} in the choices file: {e}") from e
+
+
 def _load_choices(lat, field, path):
     """Explicit homology bases / preimages from a JSON file."""
     doc = json.loads(_read_input(path))
@@ -153,13 +162,13 @@ def _load_choices(lat, field, path):
     given = {}
     for entry in doc.get("bases", []):
         m = lat.id_of_label(entry["A"])
-        given[(m, entry["dim"])] = [parse_chain(field, t) for t in entry["chains"]]
+        given[(m, entry["dim"])] = [_choice_chain(field, t) for t in entry["chains"]]
     if given:
         hb = hb.with_chains(given)
     preimages = {}
     for entry in doc.get("preimages", []):
         m = lat.id_of_label(entry["A"])
-        preimages[(m, entry["dim"], entry.get("j", 0))] = parse_chain(field, entry["chain"])
+        preimages[(m, entry["dim"], entry.get("j", 0))] = _choice_chain(field, entry["chain"])
     return hb, preimages
 
 

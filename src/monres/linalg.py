@@ -80,9 +80,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a) if self.char == 0 else pow(a, -1, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def to_str(self, a) -> str:
         return str(a)
 
@@ -210,12 +207,6 @@ class Matrix:
             out[i] = acc
         return out
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
     # -- elimination -------------------------------------------------
     def rref(self):
         """Reduced row echelon form.
@@ -300,14 +291,11 @@ class Matrix:
 
 
 def column_space_basis(m: Matrix):
-    """Indices of a deterministic independent column subset (greedy, left to right)."""
-    f = m.field
-    chosen: list[int] = []
-    rank = 0
-    for j in range(m.ncols):
-        sub = m.submatrix(range(m.nrows), chosen + [j])
-        r = sub.rank()
-        if r > rank:
-            chosen.append(j)
-            rank = r
-    return chosen
+    """The pivot primitive: indices of the columns not in the span of the columns before them.
+
+    These are the pivot columns of ``m.rref()``.  A column raises the rank
+    of the columns before it exactly when it is a pivot, so this is the
+    greedy left-to-right independent subset in one elimination; every
+    choice of independent columns in the package goes through it.
+    """
+    return m.rref()[1]

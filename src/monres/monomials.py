@@ -54,10 +54,6 @@ class Monomial:
             raise ValueError("quotient of non-divisible monomials")
         return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
-    def multiply(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def sort_key(self):
         """Total degree then lexicographic exponent order (deterministic)."""
         return (self.total_degree(), self.exponents)

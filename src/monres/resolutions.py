@@ -17,7 +17,7 @@ from itertools import combinations
 
 from monres.chains import Chain, boundary, format_chain, mdeg_chain, support
 from monres.lattice import LcmLattice
-from monres.linalg import Field, Matrix
+from monres.linalg import Field, Matrix, column_space_basis
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, parse_monomial
 from monres.vcomplex import BasedComplex, chain_to_coords, complex_of_facets, exact_closure
 
@@ -87,9 +87,6 @@ class MultigradedComplex:
                     if fr[r, c] != z and not self.levels[i - 1][r].mdeg.divides(self.levels[i][c].mdeg):
                         return (i, r, c)
         return None
-
-    def is_homogeneous(self) -> bool:
-        return self.homogeneity_failure() is None
 
     def is_complex(self) -> bool:
         # with homogeneity, frame products vanish iff the S-matrix products do
@@ -379,45 +376,39 @@ def minimize_resolution(C: MultigradedComplex, lat: LcmLattice | None = None):
 # -- the atomic lattice resolution ---------------------------------------
 
 
-def _face_boundary_matrix(field: Field, dim: int, vertex_set):
-    """Boundary matrix from dim-faces to (dim-1)-faces inside the given simplex."""
-    verts = sorted(vertex_set)
-    cols_faces = list(combinations(verts, dim + 1))
-    rows_faces = list(combinations(verts, dim)) if dim >= 1 else [()]
-    index = {fc: i for i, fc in enumerate(rows_faces)}
-    cols = []
-    for fc in cols_faces:
-        col = [field.zero] * len(rows_faces)
-        for sub, coeff in boundary(Chain.from_face(field, fc)).terms.items():
-            col[index[sub]] = coeff
-        cols.append(col)
-    return rows_faces, cols_faces, Matrix.from_columns(field, len(rows_faces), cols)
-
-
 def lift_cycle_in_simplex(field: Field, cycle: Chain, vertex_set) -> Chain:
-    """Canonical chain g with boundary(g) = cycle, supported in the given simplex."""
-    dim = cycle.dim + 1
-    rows_faces, cols_faces, bd = _face_boundary_matrix(field, dim, vertex_set)
-    rhs = [field.zero] * len(rows_faces)
-    index = {fc: i for i, fc in enumerate(rows_faces)}
-    for fc, coeff in cycle.terms.items():
-        if fc not in index:
-            raise ValueError("cycle leaves the allowed simplex")
-        rhs[index[fc]] = coeff
-    sol = bd.solve(rhs)
-    if sol is None:
+    """Canonical chain g with boundary(g) = cycle, supported in the given simplex.
+
+    g is the cone from v0 = min(vertex_set): the sum of z_t * (v0 u t)
+    over the faces t of the cycle z that miss v0.  The faces through v0
+    come first in lex order and are the pivots of the simplex's boundary
+    map, so g is the solution of boundary(g) = z with the free variables 0.
+    """
+    verts = set(vertex_set)
+    if any(not verts.issuperset(fc) for fc in cycle.terms):
+        raise ValueError("cycle leaves the allowed simplex")
+    terms = {}
+    if verts:
+        v0 = min(verts)
+        terms = {(v0,) + fc: x for fc, x in sorted(cycle.terms.items()) if v0 not in fc}
+    g = Chain(field, terms, dim=cycle.dim + 1)
+    if boundary(g) != cycle:
         raise ValueError("cycle is not a boundary in the allowed simplex")
-    return Chain(field, {fc: x for fc, x in zip(cols_faces, sol) if x != field.zero}, dim=dim)
+    return g
 
 
-class _MasterChains:
-    """Bookkeeping for chains created during the atomic construction."""
+class ClosureChains:
+    """The chains of an element-by-element closure run, in creation order.
+
+    ``chains[k]`` sits at lattice element ``elt[k]`` and its boundary is
+    ``sum(coeff * chains[t] for t, coeff in dexp[k])``.
+    """
 
     def __init__(self, field: Field):
         self.field = field
         self.chains: list[Chain] = []
         self.elt: list[int] = []
-        self.dexp: list[list] = []  # list of (master index, coeff)
+        self.dexp: list[list] = []  # list of (chain index, coeff)
 
     def add(self, chain: Chain, elt_id: int, dexp):
         self.chains.append(chain)
@@ -426,7 +417,7 @@ class _MasterChains:
         return len(self.chains) - 1
 
     def complex_on(self, idxs) -> tuple:
-        """BasedComplex on the given master indices (labels are the indices)."""
+        """BasedComplex on the given chain indices (labels are the indices)."""
         f = self.field
         by_level: dict = {}
         for k in idxs:
@@ -446,6 +437,45 @@ class _MasterChains:
         return BasedComplex(f, labels, maps), labels
 
 
+def closure_walk(lat: LcmLattice, field: Field, pick):
+    """Build chains element by element, lifting the cycles a strategy picks.
+
+    Starts from the empty chain at the bottom and the vertex {i} at the
+    i-th atom, then visits the elements of rank >= 2 in element order.
+    At each element e it forms the based complex U of the chains strictly
+    below e and calls ``pick(e, U, elts)``, where ``elts[i][j]`` is the
+    element of U's basis vector j at level i.  `pick` returns
+    ``{level: [cycle vectors in U's level coordinates]}`` or None to stop;
+    each picked cycle is lifted into the simplex on A_e and recorded at e.
+
+    Returns ``(ClosureChains, id of the element where pick stopped, or None)``.
+    """
+    run = ClosureChains(field)
+    bot = run.add(Chain.from_face(field, ()), lat.bottom, [])
+    for i, atom in enumerate(lat.atom_ids, start=1):
+        run.add(Chain.from_face(field, (i,)), atom, [(bot, field.one)])
+    for e in lat.elements:
+        if e.rank < 2:
+            continue
+        U, labels = run.complex_on([k for k, m in enumerate(run.elt) if lat.lt(m, e.id)])
+        picks = pick(e, U, [[run.elt[k] for k in lv] for lv in labels])
+        if picks is None:
+            return run, e.id
+        for level in sorted(picks):
+            for vec in picks[level]:
+                z = Chain.combine(field, [(c, run.chains[k]) for c, k in zip(vec, labels[level])],
+                                  dim=level - 1)
+                dexp = [(k, c) for c, k in zip(vec, labels[level]) if c != field.zero]
+                run.add(lift_cycle_in_simplex(field, z, e.A), e.id, dexp)
+    return run, None
+
+
+def _closure_cycles(e, U, elts):
+    """The cycles that the exact closure of U adds, by the level they live in."""
+    _, added = exact_closure(U)
+    return {level - 1: [cycle for _, cycle in gens] for level, gens in added.items()}
+
+
 def atomic_lattice_resolution(lat: LcmLattice, field: Field):
     """Build a minimal free resolution element by element via exact closures.
 
@@ -454,56 +484,15 @@ def atomic_lattice_resolution(lat: LcmLattice, field: Field):
     degree-then-lex element order); every choice inside is canonical, so
     the output is deterministic.
     """
-    ideal = lat.ideal
-    master = _MasterChains(field)
-    gamma: dict = {e.id: [] for e in lat.elements}
-
-    bot = master.add(Chain.from_face(field, ()), lat.bottom, [])
-    gamma[lat.bottom].append(bot)
-    for i, atom in enumerate(lat.atom_ids, start=1):
-        k = master.add(Chain.from_face(field, (i,)), atom, [(bot, field.one)])
-        gamma[atom].append(k)
-
-    order = [e.id for e in lat.elements if e.rank >= 2]
-    for m_id in order:
-        A_m = lat.element(m_id).A
-        idxs = [k for k in range(len(master.chains)) if lat.lt(master.elt[k], m_id)]
-        U, labels = master.complex_on(idxs)
-        _, added = exact_closure(U)
-        for level in sorted(added):
-            for _, cycle_vec in added[level]:
-                pairs = [(coeff, master.chains[k]) for coeff, k in zip(cycle_vec, labels[level - 1])]
-                z = Chain.combine(field, pairs, dim=level - 2)
-                g = lift_cycle_in_simplex(field, z, A_m)
-                dexp = [(k, coeff) for coeff, k in zip(cycle_vec, labels[level - 1]) if coeff != field.zero]
-                gamma[m_id].append(master.add(g, m_id, dexp))
-
-    by_level: dict = {}
-    ordered = [lat.bottom] + lat.atom_ids + order
-    for m_id in ordered:
-        for k in gamma[m_id]:
-            by_level.setdefault(master.chains[k].dim + 1, []).append(k)
-    top = max(by_level)
-    pos = {}
-    levels = []
-    for h in range(top + 1):
-        lv = []
-        for j, k in enumerate(by_level.get(h, [])):
-            pos[k] = (h, j)
-            lv.append(MgBasisElement(master.chains[k], lat.element(master.elt[k]).mdeg, h))
-        levels.append(lv)
-    frames: list = [None]
-    for h in range(1, top + 1):
-        cols = []
-        for k in by_level.get(h, []):
-            col = [field.zero] * len(levels[h - 1])
-            for tgt, coeff in master.dexp[k]:
-                col[pos[tgt][1]] = coeff
-            cols.append(col)
-        frames.append(Matrix.from_columns(field, len(levels[h - 1]), cols))
-    C = MultigradedComplex(ideal, field, levels, frames)
-    basis = TaylorBasis(lat, {m: [master.chains[k] for k in ks] for m, ks in gamma.items() if ks})
-    return basis, C
+    run, _ = closure_walk(lat, field, _closure_cycles)
+    F, labels = run.complex_on(range(len(run.chains)))
+    levels = [[MgBasisElement(run.chains[k], lat.element(run.elt[k]).mdeg, h) for k in lv]
+              for h, lv in enumerate(labels)]
+    C = MultigradedComplex(lat.ideal, field, levels, F.maps)
+    by_elt: dict = {}
+    for c, m in zip(run.chains, run.elt):
+        by_elt.setdefault(m, []).append(c)
+    return TaylorBasis(lat, by_elt), C
 
 
 # -- Taylor bases <-> resolutions -----------------------------------------
@@ -590,10 +579,8 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
                 if any(x != field.zero for x in dmat.mul_vector(col)):
                     raise TaylorBasisError(f"element {e.id}: boundary of a basis chain is not a cycle", e.id)
             up = cx.differential(level + 1)
-            im = Matrix.from_columns(field, len(dcols[0]), [up.column(j) for j in range(up.ncols)])
-            allm = Matrix.from_columns(field, len(dcols[0]),
-                                       [up.column(j) for j in range(up.ncols)] + dcols)
-            if allm.rank() != im.rank() + len(dcols):
+            pivots = column_space_basis(up.stack_columns(Matrix.from_columns(field, up.nrows, dcols)))
+            if sum(p >= up.ncols for p in pivots) != len(dcols):
                 raise TaylorBasisError(f"element {e.id}: boundary classes are dependent in homology", e.id)
 
     # assemble levels in the given order and solve each boundary in the span

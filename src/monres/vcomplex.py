@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from monres.chains import Chain, boundary
-from monres.linalg import Field, Matrix
+from monres.linalg import Field, Matrix, column_space_basis
 
 
 class BasedComplex:
@@ -61,39 +61,25 @@ class BasedComplex:
     def homology(self, i: int):
         """(dimension, canonical cycle representatives) at level i.
 
-        Representatives are coordinate vectors in level i: the echelon
-        completion of an image basis of d_{i+1} to a kernel basis of d_i.
+        Representatives are coordinate vectors in level i: the kernel
+        basis vectors of d_i that are pivots of ``[image of d_{i+1} | kernel]``,
+        i.e. the echelon completion of the image to a kernel basis.
         """
         f = self.field
         dim_i = self.level_dim(i)
         if dim_i == 0:
             return 0, []
-        d_i = self.differential(i)
-        if i == 0:
-            kernel_cols = Matrix.identity(f, dim_i).columns()
-        else:
-            kernel_cols = d_i.kernel_basis().columns()
+        K = Matrix.identity(f, dim_i) if i == 0 else self.differential(i).kernel_basis()
         d_up = self.differential(i + 1)
-        chosen: list[list] = []
-        base = [d_up.column(j) for j in range(d_up.ncols)]
-        current = Matrix.from_columns(f, dim_i, base)
-        rank = current.rank()
-        im_rank = rank
-        reps = []
-        for k in kernel_cols:
-            cand = Matrix.from_columns(f, dim_i, base + chosen + [k])
-            r = cand.rank()
-            if r > rank:
-                chosen.append(k)
-                reps.append(k)
-                rank = r
-        return len(kernel_cols) - im_rank, reps
+        pivots = column_space_basis(d_up.stack_columns(K))
+        reps = [K.column(p - d_up.ncols) for p in pivots if p >= d_up.ncols]
+        return K.ncols - (len(pivots) - len(reps)), reps
 
     def is_exact(self) -> bool:
         return all(self.homology(i)[0] == 0 for i in range(self.length + 1))
 
 
-def exact_closure(U: BasedComplex, namer=None):
+def exact_closure(U: BasedComplex):
     """Minimal exact complex containing U as a based subcomplex.
 
     Returns ``(V, added)``; ``added[i]`` lists ``(label, cycle)`` pairs
@@ -103,15 +89,11 @@ def exact_closure(U: BasedComplex, namer=None):
     if not U.is_complex():
         raise ValueError("exact_closure needs a complex")
     f = U.field
-    if namer is None:
-        namer = lambda level, j: f"g[{level}][{j}]"
-    mus = {}
     added: dict[int, list] = {}
     for i in range(U.length + 1):
         mu, reps = U.homology(i)
-        mus[i] = (mu, reps)
         if mu:
-            added[i + 1] = [(namer(i + 1, j), reps[j]) for j in range(mu)]
+            added[i + 1] = [(f"g[{i + 1}][{j}]", reps[j]) for j in range(mu)]
     top = U.length + (1 if (U.length + 1) in added else 0)
     labels = []
     maps: list = [None]
@@ -189,9 +171,8 @@ def is_exact_closure_of(V: BasedComplex, U: BasedComplex) -> bool:
         if kv.ncols != len(embedded):
             return False
         if embedded:
-            emb = Matrix.from_columns(f, V.level_dim(i), embedded)
-            both = emb.stack_columns(kv)
-            if both.rank() != emb.rank():
+            both = Matrix.from_columns(f, V.level_dim(i), embedded).stack_columns(kv)
+            if any(p >= len(embedded) for p in column_space_basis(both)):
                 return False
         elif kv.ncols:
             return False

@@ -1,11 +1,17 @@
 """Classifier verdicts on the named examples and corpus consistency."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from monres.chains import Chain
 from monres.classify import (IMPLICATIONS, classify, is_homologically_monotonic,
                              lattice_linear_greedy)
 from monres.lattice import LcmLattice
-from monres.linalg import Field
+from monres.linalg import Field, Matrix
+from monres.monomials import random_minimal_ideal
+from monres.resolutions import ClosureChains, lift_cycle_in_simplex
 
 from conftest import random_corpus
 
@@ -135,3 +141,80 @@ def test_corpus_diagram_consistency():
 def test_gf2_classification_runs(lattices):
     rep = classify(LcmLattice.from_ideal(lattices["triangle"].ideal), Field(2))
     assert rep["homologically_monotonic"].verdict == "yes"
+
+
+# -- differential check against the stand-alone greedy run ----------------
+
+
+def ref_lattice_linear_greedy(lat, field):
+    """The run with its own element loop and one rank per candidate cycle."""
+    master = ClosureChains(field)
+    bot = master.add(Chain.from_face(field, ()), lat.bottom, [])
+    for i, atom in enumerate(lat.atom_ids, start=1):
+        master.add(Chain.from_face(field, (i,)), atom, [(bot, field.one)])
+    for e in lat.elements:
+        if e.rank < 2:
+            continue
+        idxs = [k for k in range(len(master.chains)) if lat.lt(master.elt[k], e.id)]
+        U, labels = master.complex_on(idxs)
+        covered = set(e.covers)
+        for level in range(U.length + 1):
+            mu, _ = U.homology(level)
+            if mu == 0:
+                continue
+            cov_pos = [j for j, k in enumerate(labels[level]) if master.elt[k] in covered]
+            d_i = U.differential(level)
+            if level == 0:
+                kernel_cols = Matrix.identity(field, len(cov_pos)).columns() if cov_pos else []
+            else:
+                kernel_cols = d_i.submatrix(range(d_i.nrows), cov_pos).kernel_basis().columns()
+            embedded = []
+            for col in kernel_cols:
+                v = [field.zero] * U.level_dim(level)
+                for val, j in zip(col, cov_pos):
+                    v[j] = val
+                embedded.append(v)
+            d_up = U.differential(level + 1)
+            base = [d_up.column(j) for j in range(d_up.ncols)]
+            picked = []
+            rank = Matrix.from_columns(field, U.level_dim(level), base).rank()
+            for v in embedded:
+                if len(picked) == mu:
+                    break
+                cand = Matrix.from_columns(field, U.level_dim(level), base + picked + [v])
+                if cand.rank() > rank + len(picked):
+                    picked.append(v)
+            if len(picked) < mu:
+                return False, e.id
+            for v in picked:
+                pairs = [(coeff, master.chains[k]) for coeff, k in zip(v, labels[level])]
+                z = Chain.combine(field, pairs, dim=level - 1)
+                g = lift_cycle_in_simplex(field, z, e.A)
+                dexp = [(k, coeff) for coeff, k in zip(v, labels[level]) if coeff != field.zero]
+                master.add(g, e.id, dexp)
+    return True, None
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_greedy_matches_reference_on_named_lattices(lattices, char):
+    field = Field(char)
+    for name, lat in lattices.items():
+        assert lattice_linear_greedy(lat, field) == ref_lattice_linear_greedy(lat, field), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]), fewer_vars=st.integers(0, 3),
+       fewer_gens=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_greedy_matches_reference_on_generated_ideals(char, fewer_vars, fewer_gens, seed):
+    # sizes counted down from n = 5, r = 7, which hypothesis would otherwise rarely draw
+    n, r = 5 - fewer_vars, 7 - fewer_gens
+    rng = random.Random(seed)
+    while True:
+        try:
+            ideal = random_minimal_ideal(r, n, 3, rng)
+            break
+        except RuntimeError:
+            r -= 1  # no antichain of that size in the grid
+    lat = LcmLattice.from_ideal(ideal)
+    field = Field(char)
+    assert lattice_linear_greedy(lat, field) == ref_lattice_linear_greedy(lat, field)

@@ -200,3 +200,17 @@ def test_lattice_json_input(capsys, ideal_file, tmp_path):
 def test_bound_command(capsys, ideal_file):
     code, out = run(capsys, "bound", ideal_file("triangle"))
     assert code == 0 and out.strip() == "2"
+
+
+@pytest.mark.parametrize("choices", [
+    {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["1/0*1+3"]}]},
+    {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["1+"]}]},
+    {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "x"}]},
+    {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": [13]}]},
+])
+def test_malformed_choices_chain_is_parse_error(capsys, ideal_file, tmp_path, choices):
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps(choices))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err

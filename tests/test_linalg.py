@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.linalg import Field, Matrix, column_space_basis
 
@@ -136,3 +137,30 @@ def test_gf_arithmetic():
     assert a.rank() == 1  # det = 7 = 0 in GF(7)
     b = Matrix(f, [[f.of(2), f.of(1)], [f.of(1), f.of(5)]])
     assert b.rank() == 2
+
+
+# -- differential check against the greedy rank-per-candidate loop -------
+
+
+def ref_column_space_basis(m):
+    """Greedy left-to-right independent columns, one rank per candidate."""
+    chosen = []
+    rank = 0
+    for j in range(m.ncols):
+        r = m.submatrix(range(m.nrows), chosen + [j]).rank()
+        if r > rank:
+            chosen.append(j)
+            rank = r
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]), data=st.data())
+def test_column_space_basis_matches_greedy_reference(char, data):
+    field = Field(char)
+    nrows = data.draw(st.integers(1, 6))
+    ncols = data.draw(st.integers(0, 8))
+    entries = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    a = Matrix(field, [[field.of(x) for x in row] for row in rows])
+    assert column_space_basis(a) == ref_column_space_basis(a)

@@ -1,8 +1,10 @@
 """Resolutions: Taylor complex, cancellation, the atomic construction and friends."""
 
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.chains import Chain, boundary, format_chain, parse_chain, support
 from monres.lattice import LcmLattice
@@ -11,7 +13,8 @@ from monres.monomials import parse_ideal_text
 from monres.resolutions import (ChangeOfBasisError, MultigradedComplex, TaylorBasisError,
                                 atomic_lattice_resolution, betti_poset_label_map,
                                 change_of_basis, consecutive_cancellation,
-                                maximal_approximation, minimize_resolution, projdim_bound,
+                                lift_cycle_in_simplex, maximal_approximation,
+                                minimize_resolution, projdim_bound,
                                 resolution_from_taylor_basis, scarf_complex,
                                 taylor_basis_from_resolution, taylor_resolution,
                                 transport_via_betti_poset, verify_resolution)
@@ -510,3 +513,64 @@ def test_frames_match_chain_boundaries(lattices):
                         QQ, [(cx.frames[i][r, col], lower[r]) for r in range(len(lower))],
                         dim=i - 2)
                     assert boundary(e.label) == combo
+
+
+# -- differential check of the cone lift against the linear solve ---------
+
+
+def ref_lift_cycle_in_simplex(field, cycle, vertex_set):
+    """Solve boundary(g) = cycle over every face of the simplex, free variables 0."""
+    dim = cycle.dim + 1
+    verts = sorted(vertex_set)
+    cols_faces = list(combinations(verts, dim + 1))
+    rows_faces = list(combinations(verts, dim)) if dim >= 1 else [()]
+    index = {fc: i for i, fc in enumerate(rows_faces)}
+    cols = []
+    for fc in cols_faces:
+        col = [field.zero] * len(rows_faces)
+        for sub, coeff in boundary(Chain.from_face(field, fc)).terms.items():
+            col[index[sub]] = coeff
+        cols.append(col)
+    bd = Matrix.from_columns(field, len(rows_faces), cols)
+    rhs = [field.zero] * len(rows_faces)
+    for fc, coeff in cycle.terms.items():
+        if fc not in index:
+            raise ValueError("cycle leaves the allowed simplex")
+        rhs[index[fc]] = coeff
+    sol = bd.solve(rhs)
+    if sol is None:
+        raise ValueError("cycle is not a boundary in the allowed simplex")
+    return Chain(field, {fc: x for fc, x in zip(cols_faces, sol) if x != field.zero}, dim=dim)
+
+
+def lift_outcome(lift, field, cycle, vertex_set):
+    try:
+        g = lift(field, cycle, vertex_set)
+    except ValueError as err:
+        return "error", str(err)
+    return "ok", g.dim, list(g.terms.items())
+
+
+@st.composite
+def lift_cases(draw):
+    """(field, chain, vertex set): boundaries, arbitrary chains, chains leaving the simplex."""
+    field = Field(draw(st.sampled_from([0, 2, 32003])))
+    verts = draw(st.frozensets(st.integers(1, 7), max_size=6))
+    kind = draw(st.sampled_from(["boundary", "chain", "leaving"]))
+    pool = sorted(verts) if kind != "leaving" else list(range(1, 9))
+    size = draw(st.integers(0, 4)) + (1 if kind == "boundary" else 0)
+    faces = list(combinations(pool, size))
+    terms = {}
+    if faces:
+        for fc in draw(st.lists(st.sampled_from(faces), max_size=5)):
+            terms[fc] = field.of(draw(st.integers(-3, 3)))
+    c = Chain(field, terms, dim=size - 1)
+    return field, boundary(c) if kind == "boundary" else c, verts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lift_cases())
+def test_cone_lift_matches_solve_reference(case):
+    field, cycle, verts = case
+    assert (lift_outcome(lift_cycle_in_simplex, field, cycle, verts)
+            == lift_outcome(ref_lift_cycle_in_simplex, field, cycle, verts))

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.linalg import Field, Matrix
 from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure,
@@ -110,3 +111,38 @@ def test_is_exact_closure_label_nesting():
 def test_exact_self_closure():
     U = BasedComplex(QQ, [["e"], ["f"]], [None, Matrix(QQ, [[q(1)]])])
     assert is_exact_closure_of(U, U)
+
+
+# -- differential check against the greedy rank-per-candidate homology ----
+
+
+def ref_homology(cx, i):
+    """(dimension, representatives): kernel vectors kept when they raise the rank."""
+    f = cx.field
+    dim_i = cx.level_dim(i)
+    if dim_i == 0:
+        return 0, []
+    if i == 0:
+        kernel_cols = Matrix.identity(f, dim_i).columns()
+    else:
+        kernel_cols = cx.differential(i).kernel_basis().columns()
+    d_up = cx.differential(i + 1)
+    base = [d_up.column(j) for j in range(d_up.ncols)]
+    rank = im_rank = Matrix.from_columns(f, dim_i, base).rank()
+    chosen = []
+    for k in kernel_cols:
+        r = Matrix.from_columns(f, dim_i, base + chosen + [k]).rank()
+        if r > rank:
+            chosen.append(k)
+            rank = r
+    return len(kernel_cols) - im_rank, chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]),
+       facets=st.lists(st.frozensets(st.integers(1, 6), min_size=1, max_size=4),
+                       min_size=1, max_size=6))
+def test_homology_matches_greedy_reference(char, facets):
+    cx = complex_of_facets(Field(char), facets)
+    for i in range(cx.length + 2):
+        assert cx.homology(i) == ref_homology(cx, i)
