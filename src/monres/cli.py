@@ -155,18 +155,41 @@ def _choice_chain(field, text):
         raise IdealParseError(f"chain {text!r} in the choices file: {e}") from e
 
 
+def _choice_entries(doc, key, fields):
+    """The `key` list of a choices file: objects holding `fields` (name -> type)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise IdealParseError(f"{key!r} in the choices file is not a list")
+    for k, entry in enumerate(entries):
+        where = f"{key} entry {k} in the choices file"
+        if not isinstance(entry, dict):
+            raise IdealParseError(f"{where} is not an object")
+        for name, kind in fields.items():
+            if not isinstance(entry.get(name), kind):
+                raise IdealParseError(f"{where}: {name!r} is missing or not of type {kind.__name__}")
+        if not all(isinstance(i, int) for i in entry["A"]):
+            raise IdealParseError(f"{where}: 'A' is not a list of generator indices")
+        if not isinstance(entry.get("j", 0), int):
+            raise IdealParseError(f"{where}: 'j' is not of type int")
+    return entries
+
+
 def _load_choices(lat, field, path):
     """Explicit homology bases / preimages from a JSON file."""
     doc = json.loads(_read_input(path))
+    if not isinstance(doc, dict):
+        raise IdealParseError("the choices file is not a JSON object")
+    bases = _choice_entries(doc, "bases", {"A": list, "dim": int, "chains": list})
+    lifts = _choice_entries(doc, "preimages", {"A": list, "dim": int, "chain": str})
     hb = HomologyBasis.canonical(lat, field)
     given = {}
-    for entry in doc.get("bases", []):
+    for entry in bases:
         m = lat.id_of_label(entry["A"])
         given[(m, entry["dim"])] = [_choice_chain(field, t) for t in entry["chains"]]
     if given:
         hb = hb.with_chains(given)
     preimages = {}
-    for entry in doc.get("preimages", []):
+    for entry in lifts:
         m = lat.id_of_label(entry["A"])
         preimages[(m, entry["dim"], entry.get("j", 0))] = _choice_chain(field, entry["chain"])
     return hb, preimages

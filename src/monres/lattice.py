@@ -20,7 +20,7 @@ from itertools import combinations
 
 from monres.linalg import Field
 from monres.monomials import Monomial, MonomialIdeal, parse_monomial
-from monres.vcomplex import reduced_homology
+from monres.vcomplex import complex_of_facets, reduced_homology
 
 MAX_ATOMS = 63
 
@@ -79,6 +79,7 @@ class LcmLattice:
         self.bottom = self.by_label[frozenset()]
         self.top = self.by_label[frozenset(range(1, self.r + 1))]
         self.atom_ids = [self.by_label[frozenset([i])] for i in range(1, self.r + 1)]
+        self._complex_cache: dict = {}
         self._homology_cache: dict = {}
 
     # -- construction ------------------------------------------------
@@ -218,12 +219,19 @@ class LcmLattice:
     def scarf_ids(self):
         return [e.id for e in self.elements if e.id != self.bottom and self.is_scarf_multidegree(e.id)]
 
-    # -- homology of the complexes at the elements --------------------
+    # -- chain complexes and homology at the elements ------------------
+    def complex_at(self, m_id: int, field: Field):
+        """The face-labelled augmented chain complex of Delta_m, built once per element."""
+        cache = self._complex_cache.setdefault(field.char, {})
+        if m_id not in cache:
+            cache[m_id] = complex_of_facets(field, self.simplicial_complex_at(m_id).facets)
+        return cache[m_id]
+
     def homology_at(self, m_id: int, field: Field):
         """dict dim -> (dim_k H~, representative Chains) for Delta_m."""
         cache = self._homology_cache.setdefault(field.char, {})
         if m_id not in cache:
-            cache[m_id] = reduced_homology(field, self.simplicial_complex_at(m_id).facets)
+            cache[m_id] = reduced_homology(self.complex_at(m_id, field))
         return cache[m_id]
 
     def betti_poset_ids(self, field: Field):

@@ -24,7 +24,8 @@ from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.resolutions import (MgBasisElement, MultigradedComplex, TaylorBasis,
                                 VerificationReport, verify_resolution)
-from monres.vcomplex import class_in_homology, complex_of_facets, faces_of, prune_facets
+from monres.vcomplex import (class_in_homology, complex_of_facets, faces_of, prune_facets,
+                             reduced_homology)
 
 
 # -- homology bases ----------------------------------------------------
@@ -64,8 +65,8 @@ class HomologyBasis:
             hom = self.lattice.homology_at(m, self.field)
             if d not in hom or hom[d][0] != len(chains):
                 raise ValueError(f"element {m}: expected {hom.get(d, (0,))[0]} classes in dimension {d}")
-            facets = self.lattice.simplicial_complex_at(m).facets
-            coords = [class_in_homology(self.field, facets, c, hom[d][1]) for c in chains]
+            cx = self.lattice.complex_at(m, self.field)
+            coords = [class_in_homology(cx, c, hom[d][1]) for c in chains]
             if Matrix.from_columns(self.field, len(chains), coords).rank() != len(chains):
                 raise ValueError(f"element {m}: given classes are dependent in homology")
             data[m][d] = list(chains)
@@ -78,9 +79,8 @@ class HomologyBasis:
         return list(self.data.get(m_id, {}).get(dim, []))
 
     def class_coords(self, m_id: int, cycle: Chain):
-        facets = self.lattice.simplicial_complex_at(m_id).facets
-        basis = self.classes_at(m_id, cycle.dim)
-        return class_in_homology(self.field, facets, cycle, basis)
+        cx = self.lattice.complex_at(m_id, self.field)
+        return class_in_homology(cx, cycle, self.classes_at(m_id, cycle.dim))
 
 
 # -- subcomplexes and comparison maps -----------------------------------
@@ -169,41 +169,29 @@ def sigma_preimage(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: 
     supported in the subcomplex; the particular solution of the fixed
     elimination order is returned.
     """
-    facets = lat.simplicial_complex_at(m_id).facets
-    cx = complex_of_facets(field, facets)
-    dim = cycle.dim
-    level = dim + 1
+    cx = lat.complex_at(m_id, field)
+    level = cycle.dim + 1
+    faces = cx.labels[level] if level <= cx.length else []
+    if not set(cycle.terms) <= set(faces):
+        raise ValueError("cycle leaves the complex at m")
     sub_faces = faces_of(sub_facets)
-    target_faces = cx.labels[level] if level <= cx.length else []
-    outside = [i for i, fc in enumerate(target_faces) if fc not in sub_faces]
+    outside = [i for i, fc in enumerate(faces) if fc not in sub_faces]
     w_mat = cx.differential(level + 1)
-    rows = [w_mat.rows[i] for i in outside]
-    rhs = []
-    coords = {fc: field.zero for fc in target_faces}
-    for fc, coeff in cycle.terms.items():
-        if fc not in coords:
-            raise ValueError("cycle leaves the complex at m")
-        coords[fc] = coeff
-    for i in outside:
-        rhs.append(field.neg(coords[target_faces[i]]))
+    sol = [field.zero] * w_mat.ncols
     if outside:
-        sol = Matrix(field, rows).solve(rhs) if rows else None
+        rhs = [field.neg(cycle.terms.get(faces[i], field.zero)) for i in outside]
+        sol = Matrix(field, [w_mat.rows[i] for i in outside]).solve(rhs)
         if sol is None:
             raise ValueError("no preimage in the subcomplex (comparison map not surjective?)")
-    else:
-        sol = [field.zero] * w_mat.ncols
-    dw = w_mat.mul_vector(sol)
     terms = dict(cycle.terms)
-    for i, fc in enumerate(target_faces):
-        terms[fc] = field.add(terms.get(fc, field.zero), dw[i])
-    return Chain(field, terms, dim=dim)
+    for fc, v in zip(faces, w_mat.mul_vector(sol)):
+        terms[fc] = field.add(terms.get(fc, field.zero), v)
+    return Chain(field, terms, dim=cycle.dim)
 
 
 def sigma_dims(lat: LcmLattice, field: Field, m_id: int, sub_facets):
     """(dims of homology of the subcomplex, dims of homology of Delta_m)."""
-    from monres.vcomplex import reduced_homology
-
-    sub = reduced_homology(field, sub_facets)
+    sub = reduced_homology(complex_of_facets(field, sub_facets))
     full = lat.homology_at(m_id, field)
     return ({d: n for d, (n, _) in sub.items()}, {d: n for d, (n, _) in full.items()})
 
@@ -408,11 +396,9 @@ def _component_column(lat, field, hb, m_id, preimage: Chain, gammas, row_index, 
         d_c1 = mv_connecting(field, (A_g,), tuple(others) if others else ((),), preimage)
         if d_c1.is_zero():
             continue
-        basis = hb.classes_at(g, dim - 1)
-        if not basis:
+        if not hb.classes_at(g, dim - 1):
             continue
-        facets_g = lat.simplicial_complex_at(g).facets
-        coords = class_in_homology(field, facets_g, d_c1, basis)
+        coords = hb.class_coords(g, d_c1)
         for j, v in enumerate(coords):
             if v != field.zero:
                 col[row_index[(g, dim - 1, j)]] = v
@@ -538,9 +524,6 @@ def rlm_symbolic(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
     levels = _construction_levels(lat, hb)
     params: list = []
     columns: dict = {}
-
-    from monres.vcomplex import reduced_homology
-
     for i in range(2, len(levels)):
         for lbl in levels[i]:
             m, d, j = lbl
@@ -548,7 +531,7 @@ def rlm_symbolic(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
             gammas, facets = reduced_subcomplex_i(lat, field, m, d)
             base = sigma_preimage(lat, field, m, facets, rep)
             kernels = []
-            sub_hom = reduced_homology(field, facets)
+            sub_hom = reduced_homology(complex_of_facets(field, facets))
             if d in sub_hom:
                 reps = sub_hom[d][1]
                 coord_cols = [hb.class_coords(m, rchain) for rchain in reps]

@@ -17,9 +17,9 @@ from itertools import combinations
 
 from monres.chains import Chain, boundary, format_chain, mdeg_chain, support
 from monres.lattice import LcmLattice
-from monres.linalg import Field, Matrix, column_space_basis
+from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, parse_monomial
-from monres.vcomplex import BasedComplex, chain_to_coords, complex_of_facets, exact_closure
+from monres.vcomplex import BasedComplex, class_in_homology, exact_closure
 
 
 @dataclass
@@ -512,7 +512,6 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
     chains whose boundary classes form a basis of the homology of the
     complex at that element.  Levels keep the given chain order.
     """
-    field = None
     if isinstance(chains, TaylorBasis):
         flat = chains.chains()
     else:
@@ -520,7 +519,6 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
     if not flat:
         raise TaylorBasisError("empty basis")
     field = flat[0].field
-    ideal = lat.ideal
 
     placed = []  # (elt_id, chain) in given order
     for c in flat:
@@ -550,8 +548,7 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
         for c in mine:
             if not set(support(c)) <= set(e.A):
                 raise TaylorBasisError(f"chain {format_chain(c)} leaves the simplex at its element", e.id)
-        facets = lat.simplicial_complex_at(e.id).facets
-        cx = complex_of_facets(field, facets)
+        cx = lat.complex_at(e.id, field)
         by_dim: dict = {}
         for c in mine:
             by_dim.setdefault(c.dim - 1, []).append(c)
@@ -566,21 +563,13 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
                 )
             if not got:
                 continue
-            dcols = []
+            coords = []
             for c in got:
-                b = boundary(c)
                 try:
-                    dcols.append(chain_to_coords(cx, b))
+                    coords.append(class_in_homology(cx, boundary(c), hom[d][1]))
                 except ValueError as err:
                     raise TaylorBasisError(f"element {e.id}: boundary leaves the complex: {err}", e.id)
-            level = d + 1
-            dmat = cx.differential(level)
-            for col in dcols:
-                if any(x != field.zero for x in dmat.mul_vector(col)):
-                    raise TaylorBasisError(f"element {e.id}: boundary of a basis chain is not a cycle", e.id)
-            up = cx.differential(level + 1)
-            pivots = column_space_basis(up.stack_columns(Matrix.from_columns(field, up.nrows, dcols)))
-            if sum(p >= up.ncols for p in pivots) != len(dcols):
+            if Matrix.from_columns(field, want, coords).rank() != want:
                 raise TaylorBasisError(f"element {e.id}: boundary classes are dependent in homology", e.id)
 
     # assemble levels in the given order and solve each boundary in the span

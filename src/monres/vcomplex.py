@@ -226,18 +226,14 @@ def complex_of_facets(field: Field, facets) -> BasedComplex:
     return BasedComplex(field, labels, maps)
 
 
-def reduced_homology(field: Field, facets):
-    """dict: dimension d -> (dim_k H~_d, canonical representative Chains)."""
-    cx = complex_of_facets(field, facets)
+def reduced_homology(cx: BasedComplex):
+    """Of a face-labelled complex: dict d -> (dim_k H~_d, canonical representative Chains)."""
     out = {}
     for level in range(cx.length + 1):
         mu, reps = cx.homology(level)
         if mu:
-            chains = []
-            for rep in reps:
-                terms = {cx.labels[level][i]: v for i, v in enumerate(rep) if v != field.zero}
-                chains.append(Chain(field, terms, dim=level - 1))
-            out[level - 1] = (mu, chains)
+            faces = cx.labels[level]
+            out[level - 1] = (mu, [Chain(cx.field, zip(faces, rep), dim=level - 1) for rep in reps])
     return out
 
 
@@ -256,14 +252,14 @@ def chain_to_coords(cx: BasedComplex, c: Chain):
     return v
 
 
-def class_in_homology(field: Field, facets, c: Chain, basis_chains):
-    """Coordinates of the class [c] in a fixed homology basis of the complex.
+def class_in_homology(cx: BasedComplex, c: Chain, basis_chains):
+    """Coordinates of the class [c] in a fixed homology basis of a face-labelled complex.
 
     `basis_chains` are cycles whose classes form a basis of H~_dim(c).
     Solves c = sum(x_s * basis_s) + boundary; returns the x vector, or
     raises if c is not a cycle in the complex or the solve fails.
     """
-    cx = complex_of_facets(field, facets)
+    field = cx.field
     level = c.dim + 1
     d = cx.differential(level)
     coords = chain_to_coords(cx, c)

@@ -18,7 +18,7 @@ from monres.resolutions import (atomic_lattice_resolution, maximal_approximation
                                 resolution_from_taylor_basis,
                                 taylor_basis_from_resolution, taylor_resolution,
                                 verify_resolution)
-from monres.vcomplex import class_in_homology, exact_closure, is_exact_closure_of
+from monres.vcomplex import class_in_homology, complex_of_facets, exact_closure, is_exact_closure_of
 
 from conftest import random_based_complex, random_corpus
 
@@ -123,7 +123,7 @@ def _check_taylor_basis_laws(lat, basis):
         for d, (count, reps) in hom.items():
             got = by_dim.get(d, [])
             assert len(got) == count
-            coords = [class_in_homology(QQ, facets, b, reps) for b in got]
+            coords = [class_in_homology(complex_of_facets(QQ, facets), b, reps) for b in got]
             assert Matrix.from_columns(QQ, count, coords).rank() == count
         for d in by_dim:
             assert d in hom

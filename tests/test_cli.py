@@ -207,6 +207,19 @@ def test_bound_command(capsys, ideal_file):
     {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["1+"]}]},
     {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "x"}]},
     {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": [13]}]},
+    [1, 2],
+    {"bases": [1]},
+    {"bases": {"A": [1, 2, 3]}},
+    {"bases": [{"A": [1, 2, 3], "chains": ["-1+3"]}]},
+    {"bases": [{"dim": 0, "chains": ["-1+3"]}]},
+    {"bases": [{"A": [1, 2, 3], "dim": 0}]},
+    {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": 13}]},
+    {"bases": [{"A": 5, "dim": 0, "chains": ["-1+3"]}]},
+    {"bases": [{"A": [[1]], "dim": 0, "chains": ["-1+3"]}]},
+    {"bases": [{"A": [1, 2, 3], "dim": "0", "chains": ["-1+3"]}]},
+    {"preimages": ["x"]},
+    {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0}]},
+    {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": [0], "chain": "-2+3"}]},
 ])
 def test_malformed_choices_chain_is_parse_error(capsys, ideal_file, tmp_path, choices):
     path = tmp_path / "choices.json"
@@ -214,3 +227,10 @@ def test_malformed_choices_chain_is_parse_error(capsys, ideal_file, tmp_path, ch
     assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "Traceback" not in err
+
+
+def test_choices_label_outside_lattice_is_precondition(capsys, ideal_file, tmp_path):
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps({"bases": [{"A": [2, 3], "dim": 0, "chains": ["-2+3"]}]}))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error:")

@@ -7,9 +7,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monres.lattice as lattice_module
+from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field
 from monres.monomials import Monomial, parse_ideal_text, random_minimal_ideal
+from monres.vcomplex import reduced_homology
 
 from conftest import LATTICES, random_corpus
 
@@ -65,6 +68,32 @@ def test_simplicial_complex_at(lattices):
     assert atom.facets == ((),)
     with pytest.raises(ValueError):
         hexagon.simplicial_complex_at(hexagon.bottom)
+
+
+@pytest.mark.parametrize("name", ["hexagon", "wide6"])
+def test_complex_at_is_built_once_per_element(lattices, monkeypatch, name):
+    # a fresh lattice: the session fixtures may already hold cached complexes
+    lat = LcmLattice.from_ideal(lattices[name].ideal)
+    calls = []
+
+    def counting(field, facets):
+        calls.append(facets)
+        return build(field, facets)
+
+    build = lattice_module.complex_of_facets
+    monkeypatch.setattr(lattice_module, "complex_of_facets", counting)
+    classify(lat, QQ)
+    first = len(calls)
+    assert 0 < first <= len(lat) - 1
+    classify(lat, QQ)
+    assert len(calls) == first
+    for e in lat.elements:
+        if e.id == lat.bottom:
+            continue
+        cx = lat.complex_at(e.id, QQ)
+        assert cx is lat.complex_at(e.id, QQ)
+        assert reduced_homology(cx) == lat.homology_at(e.id, QQ)
+    assert len(calls) <= len(lat) - 1
 
 
 def test_q_faces(lattices):

@@ -10,7 +10,7 @@ from monres.posetres import (HomologyBasis, SymbolicRlm, certified_constant_rank
                              reduced_subcomplex_i, rlm_construction, rlm_symbolic,
                              sigma_dims, sigma_preimage, Poly)
 from monres.resolutions import atomic_lattice_resolution, maximal_approximation
-from monres.vcomplex import class_in_homology
+from monres.vcomplex import class_in_homology, complex_of_facets
 
 from conftest import random_corpus
 
@@ -144,9 +144,10 @@ def test_mv_tie_break_invariance():
     basis = []  # classes in the intersection: compare [out1] = [out2]
     from monres.vcomplex import reduced_homology
 
-    hom = reduced_homology(QQ, inter)
+    hom = reduced_homology(complex_of_facets(QQ, inter))
     reps = hom[0][1]
-    assert class_in_homology(QQ, inter, out1, reps) == class_in_homology(QQ, inter, out2, reps)
+    assert (class_in_homology(complex_of_facets(QQ, inter), out1, reps)
+            == class_in_homology(complex_of_facets(QQ, inter), out2, reps))
 
 
 # -- the poset construction ----------------------------------------------
@@ -354,7 +355,7 @@ def test_sigma_i_surjective_and_sufficient_iso(lattices):
                     if any(lat.leq(x.id, g) for g in gammas):
                         continue
                     stray += lat.homology_at(x.id, QQ).get(d, (0,))[0]
-                sub_dim = reduced_homology(QQ, facets).get(d, (0,))[0]
+                sub_dim = reduced_homology(complex_of_facets(QQ, facets)).get(d, (0,))[0]
                 if stray == 0:
                     assert sub_dim == hom[d][0]
                 else:

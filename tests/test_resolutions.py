@@ -1,6 +1,7 @@
 """Resolutions: Taylor complex, cancellation, the atomic construction and friends."""
 
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -259,6 +260,20 @@ def test_resolution_from_basis_rejects_span_defect(lattices):
     bad = faces("{}", "1", "2", "3", "4", "12", "23", "34", "14") + [ch("124")]
     with pytest.raises(TaylorBasisError):
         resolution_from_taylor_basis(lat, bad)
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("four_gens", "123", "124",
+     "element 9: boundary leaves the complex: face (1, 4) not in the complex"),
+    ("hexagon", "-1234-1245+1345+1356", "1234+1245",
+     "element 28: boundary classes are dependent in homology"),
+])
+def test_resolution_from_basis_error_messages(lattices, name, old, new, message):
+    lat = lattices[name]
+    B, _ = atomic_lattice_resolution(lat, QQ)
+    chains = [ch(new) if format_chain(c) == old else c for c in B.chains()]
+    with pytest.raises(TaylorBasisError, match=f"^{re.escape(message)}$"):
+        resolution_from_taylor_basis(lat, chains)
 
 
 def test_resolution_from_basis_rigid_either_choice(lattices):

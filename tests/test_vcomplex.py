@@ -39,10 +39,10 @@ def test_three_points_homology():
 
 
 def test_reduced_homology_dict():
-    hom = reduced_homology(QQ, [(1, 2), (3,)])
+    hom = reduced_homology(complex_of_facets(QQ, [(1, 2), (3,)]))
     assert set(hom) == {0}
     assert hom[0][0] == 1
-    empty_complex = reduced_homology(QQ, [()])
+    empty_complex = reduced_homology(complex_of_facets(QQ, [()]))
     assert empty_complex[-1][0] == 1
 
 
