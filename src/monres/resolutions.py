@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from monres.chains import Chain, boundary, format_chain, mdeg_chain, support
+from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, parse_monomial
-from monres.vcomplex import BasedComplex, class_in_homology, exact_closure
+from monres.vcomplex import BasedComplex, class_in_homology
 
 
 @dataclass
@@ -254,29 +254,131 @@ class TaylorBasis:
 
 
 def taylor_resolution(ideal: MonomialIdeal, field: Field) -> MultigradedComplex:
-    """The Taylor complex: one basis element per subset of the generators."""
+    """The Taylor complex: one basis element per subset of the generators.
+
+    mdeg(A) = lcm(mdeg(A minus max A), m_max A); column A has (-1)^k at A minus its k-th vertex.
+    """
     if ideal.r > 20:
         raise ValueError("Taylor resolution limited to 20 generators (2^r basis)")
-    levels = []
-    for size in range(ideal.r + 1):
-        lv = []
-        for A in combinations(range(1, ideal.r + 1), size):
-            lv.append(MgBasisElement(Chain.from_face(field, A), ideal.mdeg_of_subset(A), size))
-        levels.append(lv)
+    levels = [[MgBasisElement(Chain.from_face(field, ()), ideal.one(), 0)]]
     frames: list = [None]
+    signs = (field.one, field.neg(field.one))
+    faces = [()]
     for size in range(1, ideal.r + 1):
-        index = {tuple(sorted(e.label.faces()[0])): j for j, e in enumerate(levels[size - 1])}
-        cols = []
-        for e in levels[size]:
-            col = [field.zero] * len(levels[size - 1])
-            for f, coeff in boundary(e.label).terms.items():
-                col[index[f]] = coeff
-            cols.append(col)
-        frames.append(Matrix.from_columns(field, len(levels[size - 1]), cols))
+        index = {A: j for j, A in enumerate(faces)}
+        faces = list(combinations(range(1, ideal.r + 1), size))
+        fr = Matrix.zero(field, len(index), len(faces))
+        lv = []
+        for j, A in enumerate(faces):
+            m = levels[-1][index[A[:-1]]].mdeg.lcm(ideal.generator(A[-1]))
+            lv.append(MgBasisElement(Chain.from_face(field, A), m, size))
+            for k in range(size):
+                fr.rows[index[A[:k] + A[k + 1:]]][j] = signs[k % 2]
+        levels.append(lv)
+        frames.append(fr)
     return MultigradedComplex(ideal, field, levels, frames)
 
 
 # -- consecutive cancellation -------------------------------------------
+
+
+class _SparseFrames:
+    """A complex's frames as sparse rows and columns, ``rows[i][u][v] = cols[i][v][u]``.
+
+    Cancellations change them in place.  Positions stay those of the input
+    complex, so scans and `complex()` keep the dense order.
+    """
+
+    def __init__(self, C: MultigradedComplex):
+        self.C = C
+        self.elems = [list(lv) for lv in C.levels]
+        self.keys = [[e.mdeg.exponents for e in lv] for lv in C.levels]
+        self.alive = [set(range(len(lv))) for lv in C.levels]
+        self.rows, self.cols = [None], [None]
+        for fr in C.frames[1:]:
+            rows = {u: {v: x for v, x in enumerate(row) if x} for u, row in enumerate(fr.rows)}
+            cols: dict = {v: {} for v in range(fr.ncols)}
+            for u, row in rows.items():
+                for v, x in row.items():
+                    cols[v][u] = x
+            self.rows.append(rows)
+            self.cols.append(cols)
+
+    def length(self) -> int:
+        return max((i for i, a in enumerate(self.alive) if a), default=0)
+
+    def first_unit(self, i0: int = 1, q0: int = 0):
+        """First unit entry at or after (degree i0, row q0), scanning as `find_unit_entry`."""
+        for i in range(i0, self.length() + 1):
+            lo, hi = self.keys[i - 1], self.keys[i]
+            for q in range(q0 if i == i0 else 0, len(lo)):
+                units = [p for p in self.rows[i].get(q, ()) if hi[p] == lo[q]]
+                if units:
+                    return i, q, min(units)
+        return None
+
+    def cancel(self, i: int, q: int, p: int) -> int:
+        """`consecutive_cancellation` in place; returns the row of frame i to rescan from.
+
+        Rows above q had no unit; row u gains one only if mdeg(u) is that of
+        a column in row q, which in a homogeneous complex makes (u, p) a unit.
+        """
+        f, z = self.C.field, self.C.field.zero
+        if not 1 <= i <= self.length():
+            raise ValueError(f"no map at degree {i}")
+        rows, cols, lo, hi = self.rows[i], self.cols[i], self.keys[i - 1], self.keys[i]
+        a = rows[q].get(p)
+        if not a:
+            raise ValueError("cancellation entry is zero")
+        if lo[q] != hi[p]:
+            raise ValueError("cancellation entry is not a unit: multidegrees differ")
+        inv_a = f.inv(a)
+        row_q, col_p, lv, fp = rows.pop(q), cols.pop(p), self.elems[i], self.elems[i][p]
+        del row_q[p], col_p[q]
+        for v, x in row_q.items():
+            del cols[v][q]
+            if isinstance(lv[v].label, Chain) and isinstance(fp.label, Chain):
+                c, terms = f.mul(inv_a, x), dict(lv[v].label.terms)
+                for fc, y in fp.label.terms.items():
+                    terms[fc] = f.sub(terms.get(fc, z), f.mul(c, y))
+                lv[v] = MgBasisElement(Chain(f, terms, dim=lv[v].label.dim), lv[v].mdeg, i)
+        resume, row_q_keys = q + 1, {hi[v] for v in row_q}
+        for u, y in col_p.items():
+            row_u, c = rows[u], f.mul(y, inv_a)
+            del row_u[p]
+            for v, x in row_q.items():
+                val = f.sub(row_u.get(v, z), f.mul(c, x))
+                if not val:
+                    row_u.pop(v, None)
+                    cols[v].pop(u, None)
+                else:
+                    row_u[v] = cols[v][u] = val
+            if u < resume and lo[u] in row_q_keys:
+                resume = u
+        if i + 1 < len(self.rows):
+            for w in self.rows[i + 1].pop(p):
+                del self.cols[i + 1][w][p]
+        if i > 1:
+            for u in self.cols[i - 1].pop(q):
+                del self.rows[i - 1][u][q]
+        self.alive[i].discard(p)
+        self.alive[i - 1].discard(q)
+        return resume
+
+    def complex(self) -> MultigradedComplex:
+        """The current complex, without trailing empty levels."""
+        f = self.C.field
+        keep = [sorted(a) for a in self.alive[:self.length() + 1]]
+        frames: list = [None]
+        for i in range(1, len(keep)):
+            fr = Matrix.zero(f, len(keep[i - 1]), len(keep[i]))
+            col = {v: c for c, v in enumerate(keep[i])}
+            for r, u in enumerate(keep[i - 1]):
+                for v, x in self.rows[i][u].items():
+                    fr.rows[r][col[v]] = x
+            frames.append(fr)
+        levels = [[self.elems[i][j] for j in lv] for i, lv in enumerate(keep)]
+        return MultigradedComplex(self.C.ideal, f, levels, frames)
 
 
 def consecutive_cancellation(C: MultigradedComplex, i: int, q: int, p: int) -> MultigradedComplex:
@@ -287,90 +389,42 @@ def consecutive_cancellation(C: MultigradedComplex, i: int, q: int, p: int) -> M
     picks up the correction A1 - a^-1 * beta * alpha and the surviving
     degree-i labels are updated to f_v - a^-1 A[q,v] f_p.
     """
-    f = C.field
-    if not (1 <= i <= C.length):
-        raise ValueError(f"no map at degree {i}")
-    A = C.frames[i]
-    a = A[q, p]
-    if a == f.zero:
-        raise ValueError("cancellation entry is zero")
-    if C.levels[i - 1][q].mdeg != C.levels[i][p].mdeg:
-        raise ValueError("cancellation entry is not a unit: multidegrees differ")
-    inv_a = f.inv(a)
-
-    new_levels = [list(lv) for lv in C.levels]
-    new_frames = [None] + [C.frames[k].copy() for k in range(1, len(C.levels))]
-
-    # update the surviving labels at level i
-    fp = C.levels[i][p]
-    for v in range(A.ncols):
-        if v == p or A[q, v] == f.zero:
-            continue
-        e = new_levels[i][v]
-        if isinstance(e.label, Chain) and isinstance(fp.label, Chain):
-            lbl = e.label.sub(fp.label.scale(f.mul(inv_a, A[q, v])))
-        else:
-            lbl = e.label
-        new_levels[i][v] = MgBasisElement(lbl, e.mdeg, e.hdeg)
-
-    keep_rows = [u for u in range(A.nrows) if u != q]
-    keep_cols = [v for v in range(A.ncols) if v != p]
-    corrected = Matrix.zero(f, len(keep_rows), len(keep_cols))
-    for ui, u in enumerate(keep_rows):
-        for vi, v in enumerate(keep_cols):
-            val = A[u, v]
-            if A[u, p] != f.zero and A[q, v] != f.zero:
-                val = f.sub(val, f.mul(f.mul(A[u, p], inv_a), A[q, v]))
-            corrected.rows[ui][vi] = val
-    new_frames[i] = corrected
-    if i + 1 < len(new_levels):
-        B = C.frames[i + 1]
-        new_frames[i + 1] = B.submatrix(keep_cols, range(B.ncols))
-    if i - 1 >= 1:
-        D = C.frames[i - 1]
-        new_frames[i - 1] = D.submatrix(range(D.nrows), keep_rows)
-    new_levels[i] = [new_levels[i][v] for v in keep_cols]
-    new_levels[i - 1] = [new_levels[i - 1][u] for u in keep_rows]
-
-    while len(new_levels) > 1 and not new_levels[-1]:
-        new_levels.pop()
-        new_frames.pop()
-    return MultigradedComplex(C.ideal, f, new_levels, new_frames)
+    frames = _SparseFrames(C)
+    frames.cancel(i, q, p)
+    return frames.complex()
 
 
 def find_unit_entry(C: MultigradedComplex):
     """First unit entry scanning degrees low to high, rows top-down, row-major."""
-    z = C.field.zero
-    for i in range(1, C.length + 1):
-        fr = C.frames[i]
-        for q in range(fr.nrows):
-            mq = C.levels[i - 1][q].mdeg
-            for p in range(fr.ncols):
-                if fr[q, p] != z and C.levels[i][p].mdeg == mq:
-                    return (i, q, p)
-    return None
+    return _SparseFrames(C).first_unit()
 
 
 def minimize_resolution(C: MultigradedComplex, lat: LcmLattice | None = None):
-    """Cancel unit entries to a fixpoint; returns (minimal complex, Taylor basis)."""
-    cur = C
-    while True:
-        hit = find_unit_entry(cur)
-        if hit is None:
-            break
-        cur = consecutive_cancellation(cur, *hit)
+    """Cancel unit entries to a fixpoint; returns (minimal complex, Taylor basis).
+
+    Makes the cancellations of repeated `find_unit_entry` and
+    `consecutive_cancellation` calls, in place on one set of sparse frames.
+    Each scan resumes at the last unit's degree and row: the frames below
+    only lose columns, and the rows above gain no unit (`_SparseFrames.cancel`).
+    """
+    frames = _SparseFrames(C)
+    hit = frames.first_unit()
+    if hit is not None:
+        while hit is not None:
+            hit = frames.first_unit(hit[0], frames.cancel(*hit))
+        C = frames.complex()
     if lat is None:
         lat = LcmLattice.from_ideal(C.ideal)
     by_elt: dict = {}
     order = []
-    for lv in cur.levels:
+    for lv in C.levels:
         for e in lv:
             if not isinstance(e.label, Chain):
                 raise ValueError("minimization bookkeeping needs chain labels")
             m = lat.closure_id(support(e.label)) if not e.label.is_zero() else lat.bottom
             by_elt.setdefault(m, []).append(e.label)
             order.append((m, len(by_elt[m]) - 1))
-    return cur, TaylorBasis(lat, by_elt, order)
+    return C, TaylorBasis(lat, by_elt, order)
 
 
 # -- the atomic lattice resolution ---------------------------------------
@@ -471,9 +525,12 @@ def closure_walk(lat: LcmLattice, field: Field, pick):
 
 
 def _closure_cycles(e, U, elts):
-    """The cycles that the exact closure of U adds, by the level they live in."""
-    _, added = exact_closure(U)
-    return {level - 1: [cycle for _, cycle in gens] for level, gens in added.items()}
+    """The cycles that the exact closure of U adds: its homology representatives by level.
+
+    U is a complex by construction, so `exact_closure`'s check is skipped.
+    """
+    reps = {i: U.homology(i)[1] for i in range(U.length + 1)}
+    return {i: cycles for i, cycles in reps.items() if cycles}
 
 
 def atomic_lattice_resolution(lat: LcmLattice, field: Field):

@@ -1,8 +1,8 @@
 """Byte-identical CLI output: exit code and stdout digest of every command.
 
 Each named ideal and label lattice of the conftest runs through the
-commands below in QQ and GF(32003); the exit code and the sha256 of
-stdout must match `cli_digests.json`.  A change that is meant to alter
+commands below in QQ, GF(32003) and GF(2); the exit code and the sha256
+of stdout must match `cli_digests.json`.  A change that is meant to alter
 an output re-records the file with
 
     PYTHONPATH=src python3 tests/test_cli_digests.py
@@ -23,7 +23,7 @@ from conftest import IDEALS, LATTICES
 
 COMMANDS = ("lattice", "betti", "taylor", "minimize", "resolve", "approx", "poset", "rlm",
             "classify", "scarf", "bound")
-CHARS = (0, 32003)
+CHARS = (0, 32003, 2)
 RECORD = pathlib.Path(__file__).with_name("cli_digests.json")
 
 

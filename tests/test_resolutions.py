@@ -1,6 +1,7 @@
 """Resolutions: Taylor complex, cancellation, the atomic construction and friends."""
 
 import json
+import random
 import re
 from itertools import combinations
 
@@ -10,17 +11,18 @@ from hypothesis import given, settings, strategies as st
 from monres.chains import Chain, boundary, format_chain, parse_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.monomials import parse_ideal_text
-from monres.resolutions import (ChangeOfBasisError, MultigradedComplex, TaylorBasisError,
-                                atomic_lattice_resolution, betti_poset_label_map,
-                                change_of_basis, consecutive_cancellation,
+from monres.monomials import parse_ideal_text, random_minimal_ideal
+from monres.resolutions import (ChangeOfBasisError, MgBasisElement, MultigradedComplex,
+                                TaylorBasis, TaylorBasisError, atomic_lattice_resolution,
+                                betti_poset_label_map, change_of_basis,
+                                consecutive_cancellation, find_unit_entry,
                                 lift_cycle_in_simplex, maximal_approximation,
                                 minimize_resolution, projdim_bound,
                                 resolution_from_taylor_basis, scarf_complex,
                                 taylor_basis_from_resolution, taylor_resolution,
                                 transport_via_betti_poset, verify_resolution)
 
-from conftest import random_corpus
+from conftest import LATTICES, random_corpus
 
 
 QQ = Field(0)
@@ -589,3 +591,180 @@ def test_cone_lift_matches_solve_reference(case):
     field, cycle, verts = case
     assert (lift_outcome(lift_cycle_in_simplex, field, cycle, verts)
             == lift_outcome(ref_lift_cycle_in_simplex, field, cycle, verts))
+
+
+# -- differential check of the in-place cancellation against the dense loop --
+
+
+def ref_consecutive_cancellation(C, i, q, p):
+    """Cancel (q, p) of the degree-i map on copies of every frame, rebuilding frame i densely."""
+    f = C.field
+    if not (1 <= i <= C.length):
+        raise ValueError(f"no map at degree {i}")
+    A = C.frames[i]
+    a = A[q, p]
+    if a == f.zero:
+        raise ValueError("cancellation entry is zero")
+    if C.levels[i - 1][q].mdeg != C.levels[i][p].mdeg:
+        raise ValueError("cancellation entry is not a unit: multidegrees differ")
+    inv_a = f.inv(a)
+
+    new_levels = [list(lv) for lv in C.levels]
+    new_frames = [None] + [C.frames[k].copy() for k in range(1, len(C.levels))]
+
+    fp = C.levels[i][p]
+    for v in range(A.ncols):
+        if v == p or A[q, v] == f.zero:
+            continue
+        e = new_levels[i][v]
+        if isinstance(e.label, Chain) and isinstance(fp.label, Chain):
+            lbl = e.label.sub(fp.label.scale(f.mul(inv_a, A[q, v])))
+        else:
+            lbl = e.label
+        new_levels[i][v] = MgBasisElement(lbl, e.mdeg, e.hdeg)
+
+    keep_rows = [u for u in range(A.nrows) if u != q]
+    keep_cols = [v for v in range(A.ncols) if v != p]
+    corrected = Matrix.zero(f, len(keep_rows), len(keep_cols))
+    for ui, u in enumerate(keep_rows):
+        for vi, v in enumerate(keep_cols):
+            val = A[u, v]
+            if A[u, p] != f.zero and A[q, v] != f.zero:
+                val = f.sub(val, f.mul(f.mul(A[u, p], inv_a), A[q, v]))
+            corrected.rows[ui][vi] = val
+    new_frames[i] = corrected
+    if i + 1 < len(new_levels):
+        B = C.frames[i + 1]
+        new_frames[i + 1] = B.submatrix(keep_cols, range(B.ncols))
+    if i - 1 >= 1:
+        D = C.frames[i - 1]
+        new_frames[i - 1] = D.submatrix(range(D.nrows), keep_rows)
+    new_levels[i] = [new_levels[i][v] for v in keep_cols]
+    new_levels[i - 1] = [new_levels[i - 1][u] for u in keep_rows]
+
+    while len(new_levels) > 1 and not new_levels[-1]:
+        new_levels.pop()
+        new_frames.pop()
+    return MultigradedComplex(C.ideal, f, new_levels, new_frames)
+
+
+def ref_find_unit_entry(C):
+    """First unit entry, rescanning every frame from degree 1."""
+    z = C.field.zero
+    for i in range(1, C.length + 1):
+        fr = C.frames[i]
+        for q in range(fr.nrows):
+            mq = C.levels[i - 1][q].mdeg
+            for p in range(fr.ncols):
+                if fr[q, p] != z and C.levels[i][p].mdeg == mq:
+                    return (i, q, p)
+    return None
+
+
+def ref_minimize_resolution(C, lat):
+    cur = C
+    while (hit := ref_find_unit_entry(cur)) is not None:
+        cur = ref_consecutive_cancellation(cur, *hit)
+    by_elt: dict = {}
+    order = []
+    for lv in cur.levels:
+        for e in lv:
+            m = lat.closure_id(support(e.label)) if not e.label.is_zero() else lat.bottom
+            by_elt.setdefault(m, []).append(e.label)
+            order.append((m, len(by_elt[m]) - 1))
+    return cur, TaylorBasis(lat, by_elt, order)
+
+
+def assert_same_complex(C, D):
+    assert C.rank_vector() == D.rank_vector()
+    assert C.levels == D.levels  # labels, multidegrees, homological degrees
+    assert C.frames[1:] == D.frames[1:]
+    assert C.render_text() == D.render_text() and C.to_json() == D.to_json()
+
+
+@st.composite
+def taylor_cases(draw):
+    """(field, lattice): generated ideals with r <= 7, n <= 5, or a conftest label lattice."""
+    field = Field(draw(st.sampled_from([0, 2, 32003])))
+    if draw(st.booleans()):
+        return field, LcmLattice.from_labels(LATTICES[draw(st.sampled_from(sorted(LATTICES)))])
+    # counted down from the largest sizes, which hypothesis would otherwise rarely draw
+    n, r = 5 - draw(st.integers(0, 3)), 7 - draw(st.integers(0, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        try:
+            return field, LcmLattice.from_ideal(random_minimal_ideal(r, n, 3, rng))
+        except RuntimeError:
+            r -= 1  # no antichain of that size in the grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=taylor_cases())
+def test_minimize_matches_dense_reference(case):
+    field, lat = case
+    T = taylor_resolution(lat.ideal, field)
+    C, basis = minimize_resolution(T, lat)
+    D, ref_basis = ref_minimize_resolution(T, lat)
+    assert_same_complex(C, D)
+    assert basis.order == ref_basis.order and basis.by_elt == ref_basis.by_elt
+    assert basis.to_text() == ref_basis.to_text()
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=taylor_cases())
+def test_each_cancellation_matches_dense_reference(case):
+    field, lat = case
+    cur = taylor_resolution(lat.ideal, field)
+    while (hit := ref_find_unit_entry(cur)) is not None:
+        assert find_unit_entry(cur) == hit
+        nxt = ref_consecutive_cancellation(cur, *hit)
+        assert_same_complex(consecutive_cancellation(cur, *hit), nxt)
+        cur = nxt
+    assert find_unit_entry(cur) is None
+
+
+@pytest.mark.parametrize("i, q, p, message", [
+    (2, 0, 2, "cancellation entry is zero"),
+    (1, 0, 0, "cancellation entry is not a unit: multidegrees differ"),
+    (0, 0, 0, "no map at degree 0"),
+    (4, 0, 0, "no map at degree 4"),
+])
+def test_cancellation_error_messages(ideals, i, q, p, message):
+    T = taylor_resolution(ideals["triangle"], QQ)  # frame 2 row {} col {23} is zero
+    for cancel in (consecutive_cancellation, ref_consecutive_cancellation):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cancel(T, i, q, p)
+
+
+def test_minimize_rescans_rows_the_correction_makes_units():
+    # not homogeneous: cancelling (x, x) at row 1 turns the (y, y) entry of row 0 into a unit
+    ideal, _ = parse_ideal_text("vars x y; gens x y")
+    x, y = ideal.gens
+    empty = Chain.from_face(QQ, ())
+    levels = [[MgBasisElement(empty, y, 0), MgBasisElement(empty, x, 0)],
+              [MgBasisElement(Chain.from_face(QQ, (1,)), x, 1),
+               MgBasisElement(Chain.from_face(QQ, (2,)), y, 1)]]
+    C = MultigradedComplex(ideal, QQ, levels, [None, Matrix(QQ, [[QQ.one, QQ.zero], [QQ.one, QQ.one]])])
+    lat = LcmLattice.from_ideal(ideal)
+    got, ref = minimize_resolution(C, lat)[0], ref_minimize_resolution(C, lat)[0]
+    assert got.rank_vector() == ref.rank_vector() == [0]
+
+
+def test_minimize_builds_one_matrix_per_level(monkeypatch):
+    # no per-step frame copies: only the emitted frames are built
+    lat = LcmLattice.from_ideal(random_minimal_ideal(7, 4, 3, random.Random(5)))
+    T = taylor_resolution(lat.ideal, QQ)
+    zero, copy = Matrix.zero, Matrix.copy
+
+    def matrices_built(minimize):
+        built = []
+        monkeypatch.setattr(Matrix, "zero", staticmethod(lambda *a: built.append(a) or zero(*a)))
+        monkeypatch.setattr(Matrix, "copy", lambda m: built.append(m) or copy(m))
+        C, _ = minimize(T, lat)
+        monkeypatch.undo()
+        return len(built), C
+
+    count, C = matrices_built(minimize_resolution)
+    ref_count, D = matrices_built(ref_minimize_resolution)
+    assert C.rank_vector() == D.rank_vector() != T.rank_vector()
+    assert count <= len(T.levels) < ref_count
