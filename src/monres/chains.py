@@ -30,10 +30,8 @@ class Chain:
         self.field = field
         clean = {}
         for f, c in dict(terms).items():
-            f = tuple(f)
-            if c == field.zero:
-                continue
-            clean[f] = c
+            if c:
+                clean[tuple(f)] = c
         dims = {len(f) - 1 for f in clean}
         if len(dims) > 1:
             raise ValueError(f"chain of mixed dimensions: {sorted(dims)}")
@@ -63,9 +61,6 @@ class Chain:
 
     def faces(self):
         return sorted(self.terms)
-
-    def coeff(self, f):
-        return self.terms.get(tuple(f), self.field.zero)
 
     def __eq__(self, other):
         return (
@@ -103,11 +98,15 @@ class Chain:
     @staticmethod
     def combine(field: Field, pairs, dim: int) -> "Chain":
         """Field-linear combination of (coefficient, chain) pairs."""
-        out = Chain.zero(field, dim)
+        terms: dict = {}
         for c, ch in pairs:
-            if c != field.zero and not ch.is_zero():
-                out = out.add(ch.scale(c))
-        return out
+            if not c or ch.is_zero():
+                continue
+            if ch.dim != dim:
+                raise ValueError("adding chains of different dimensions")
+            for fc, x in ch.terms.items():
+                terms[fc] = field.add(terms.get(fc, field.zero), field.mul(c, x))
+        return Chain(field, terms, dim=dim)
 
 
 def boundary(c: Chain) -> Chain:

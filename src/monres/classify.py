@@ -162,8 +162,8 @@ def is_nearly_hm(lat: LcmLattice, field: Field) -> ClassVerdict:
     return ClassVerdict("yes")
 
 
-def is_betti_linear(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> ClassVerdict:
-    out = poset_construction(lat, field, hb)
+def is_betti_linear(lat: LcmLattice, field: Field) -> ClassVerdict:
+    out = poset_construction(lat, field)
     if out.is_minimal_resolution():
         return ClassVerdict("yes", "poset construction is a minimal resolution")
     if not out.is_complex:
@@ -219,6 +219,9 @@ def is_lattice_linear(lat: LcmLattice, field: Field, scarf: ClassVerdict | None 
 
 # -- homology-linear analysis over the symbolic construction -------------
 
+# Above this many preimage parameters the symbolic analysis is skipped.
+MAX_RLM_PARAMS = 40
+
 
 def _grid_points(field: Field, nvars: int):
     if field.char == 0:
@@ -236,7 +239,7 @@ def _grid_points(field: Field, nvars: int):
             yield tuple(pool[rng.randrange(len(pool))] for _ in range(nvars))
 
 
-def _find_nonzero_point(field: Field, comps, nparams: int):
+def _find_nonzero_point(field: Field, comps):
     entries = [p for mat in comps.values() for row in mat for p in row if not p.is_zero()]
     for p in entries:
         vs = sorted(p.variables())
@@ -258,7 +261,6 @@ class RlmAnalysis:
     sample_ok: bool
     sample_fail: bool
     certified_all_choices: bool
-    available: bool = True
 
 
 def _certify_exactness_all_choices(sym) -> bool:
@@ -300,23 +302,25 @@ def _certify_exactness_all_choices(sym) -> bool:
     return True
 
 
-def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
-                max_params: int = 40) -> RlmAnalysis:
-    if hb is None:
-        hb = HomologyBasis.canonical(lat, field)
-    canonical = rlm_construction(lat, field, hb)
-    canonical_ok = canonical.is_minimal_resolution()
-    sym = rlm_symbolic(lat, field, hb, max_params=max_params)
+def analyse_rlm(lat: LcmLattice, field: Field) -> RlmAnalysis:
+    """Evidence for the homology-linear verdicts, from the symbolic rlm construction.
+
+    The canonical instance is its evaluate({}).  Above MAX_RLM_PARAMS
+    parameters only that instance is built, by rlm_construction.
+    """
+    hb = HomologyBasis.canonical(lat, field)
+    sym = rlm_symbolic(lat, field, hb, max_params=MAX_RLM_PARAMS)
     if sym is None:
-        return RlmAnalysis(canonical_ok, False, False, None, False, not canonical_ok,
-                           False, available=False)
+        canonical_ok = rlm_construction(lat, field, hb).is_minimal_resolution()
+        return RlmAnalysis(canonical_ok, False, False, None, False, not canonical_ok, False)
+    canonical_ok = sym.evaluate({}).is_minimal_resolution()
     comps = sym.composites()
     entries = [p for mat in comps.values() for row in mat for p in row]
     composites_zero = all(p.is_zero() for p in entries)
     const_nonzero = any(p.is_const() and not p.is_zero() for p in entries)
     breaking = None
     if not composites_zero:
-        point = _find_nonzero_point(field, comps, len(sym.params))
+        point = _find_nonzero_point(field, comps)
         if point is not None and not sym.evaluate(point).is_complex:
             breaking = point
     sample_ok = canonical_ok
@@ -334,7 +338,7 @@ def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
                        sample_ok, sample_fail, certified)
 
 
-def classify(lat: LcmLattice, field: Field, max_params: int = 40) -> ClassificationReport:
+def classify(lat: LcmLattice, field: Field) -> ClassificationReport:
     report = ClassificationReport()
     scarf = is_scarf(lat, field)
     report.verdicts["scarf"] = scarf
@@ -348,7 +352,7 @@ def classify(lat: LcmLattice, field: Field, max_params: int = 40) -> Classificat
     report.verdicts["betti_linear"] = bl
     report.verdicts["lattice_linear"] = is_lattice_linear(lat, field, scarf)
 
-    analysis = analyse_rlm(lat, field, max_params=max_params)
+    analysis = analyse_rlm(lat, field)
 
     if analysis.sample_fail or analysis.complex_breaking_point is not None:
         strongly = ClassVerdict("no", "a homology-approximation instance fails")

@@ -10,6 +10,7 @@ format.  Exit codes: 0 success, 2 verification failure, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from monres.chains import Chain, format_chain, parse_chain
 from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field
-from monres.monomials import IdealParseError, parse_ideal_text, random_minimal_ideal
+from monres.monomials import IdealParseError, json_object, parse_ideal_text, random_minimal_ideal
 from monres.posetres import HomologyBasis, poset_construction, rlm_construction
 from monres.resolutions import (MultigradedComplex, atomic_lattice_resolution,
                                 maximal_approximation, minimize_resolution,
@@ -147,8 +148,6 @@ def cmd_approx(args):
 
 
 def _choice_chain(field, text):
-    if not isinstance(text, str):
-        raise IdealParseError(f"chain {text!r} in the choices file is not a string")
     try:
         return parse_chain(field, text)
     except (ValueError, ZeroDivisionError) as e:
@@ -156,31 +155,23 @@ def _choice_chain(field, text):
 
 
 def _choice_entries(doc, key, fields):
-    """The `key` list of a choices file: objects holding `fields` (name -> type)."""
+    """The `key` list of a choices file: objects holding `fields` (see `json_object`)."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise IdealParseError(f"{key!r} in the choices file is not a list")
     for k, entry in enumerate(entries):
         where = f"{key} entry {k} in the choices file"
-        if not isinstance(entry, dict):
-            raise IdealParseError(f"{where} is not an object")
-        for name, kind in fields.items():
-            if not isinstance(entry.get(name), kind):
-                raise IdealParseError(f"{where}: {name!r} is missing or not of type {kind.__name__}")
-        if not all(isinstance(i, int) for i in entry["A"]):
-            raise IdealParseError(f"{where}: 'A' is not a list of generator indices")
+        json_object(entry, {"A": (list, int), **fields}, where)
         if not isinstance(entry.get("j", 0), int):
-            raise IdealParseError(f"{where}: 'j' is not of type int")
+            raise IdealParseError(f"{where}: 'j' is not an int")
     return entries
 
 
 def _load_choices(lat, field, path):
     """Explicit homology bases / preimages from a JSON file."""
-    doc = json.loads(_read_input(path))
-    if not isinstance(doc, dict):
-        raise IdealParseError("the choices file is not a JSON object")
-    bases = _choice_entries(doc, "bases", {"A": list, "dim": int, "chains": list})
-    lifts = _choice_entries(doc, "preimages", {"A": list, "dim": int, "chain": str})
+    doc = json_object(json.loads(_read_input(path)), {}, "the choices file")
+    bases = _choice_entries(doc, "bases", {"dim": int, "chains": (list, str)})
+    lifts = _choice_entries(doc, "preimages", {"dim": int, "chain": str})
     hb = HomologyBasis.canonical(lat, field)
     given = {}
     for entry in bases:
@@ -294,6 +285,7 @@ def cmd_bound(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monres",
@@ -337,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except IdealParseError as e:

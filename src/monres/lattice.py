@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from monres.linalg import Field
-from monres.monomials import Monomial, MonomialIdeal, parse_monomial
+from monres.monomials import Monomial, MonomialIdeal, json_object, parse_monomial
 from monres.vcomplex import complex_of_facets, reduced_homology
 
 MAX_ATOMS = 63
@@ -273,14 +273,17 @@ class LcmLattice:
 
     @staticmethod
     def from_json(text: str) -> "LcmLattice":
-        doc = json.loads(text)
+        doc = json_object(json.loads(text), {"elements": list}, "the lattice JSON")
+        labels = [tuple(json_object(e, {"A": (list, int)}, f"the lattice JSON: elements[{k}]")["A"])
+                  for k, e in enumerate(doc["elements"])]
         if "vars" in doc and "gens" in doc:
+            json_object(doc, {"vars": (list, str), "gens": (list, str)}, "the lattice JSON")
             names = doc["vars"]
             gens = [parse_monomial(g, names) for g in doc["gens"]]
             lat = LcmLattice.from_ideal(MonomialIdeal(names, gens))
         else:
-            lat = LcmLattice.from_labels([tuple(e["A"]) for e in doc["elements"]])
-        given = {frozenset(e["A"]) for e in doc["elements"]}
+            lat = LcmLattice.from_labels(labels)
+        given = {frozenset(A) for A in labels}
         have = {e.A for e in lat.elements}
         if given != have:
             raise ValueError("element list does not match the lattice of the given ideal")

@@ -161,6 +161,23 @@ class IdealParseError(ValueError):
         self.line = line
 
 
+def json_object(value, fields, where: str):
+    """`value`, checked to be a JSON object holding the typed `fields`.
+
+    `fields` maps a key to a type, or to (list, t) for a list of t.  A
+    missing key or a wrong type is a parse error naming `where` and the key.
+    """
+    if not isinstance(value, dict):
+        raise IdealParseError(f"{where} is not an object")
+    for key, kind in fields.items():
+        kind, item = kind if isinstance(kind, tuple) else (kind, None)
+        v = value.get(key)
+        if not isinstance(v, kind) or (item and not all(isinstance(x, item) for x in v)):
+            what = kind.__name__ + (f" of {item.__name__}" if item else "")
+            raise IdealParseError(f"{where}: {key!r} is missing or not a {what}")
+    return value
+
+
 def parse_ideal_text(text: str, minimize: bool = False):
     """Parse an ideal file: ``vars a b c; gens a^2 a*b b*c; [char p;]``.
 

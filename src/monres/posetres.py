@@ -86,40 +86,21 @@ class HomologyBasis:
 # -- subcomplexes and comparison maps -----------------------------------
 
 
-def betti_below(lat: LcmLattice, field: Field, m_id: int):
-    """Nonbottom Betti-poset elements strictly below m."""
-    ids = lat.betti_poset_ids(field)
-    return [i for i in ids if i != lat.bottom and lat.lt(i, m_id)]
+def reduced_subcomplex(lat: LcmLattice, field: Field, m_id: int, i: int | None = None):
+    """(maximal elements of B(m), or of B_i(m), their labels as facets).
 
-
-def _maximal(lat: LcmLattice, ids):
-    out = []
-    for i in ids:
-        if not any(lat.lt(i, j) for j in ids if j != i):
-            out.append(i)
-    return out
-
-
-def reduced_subcomplex(lat: LcmLattice, field: Field, m_id: int):
-    """(maximal elements of B(m), their labels as facets)."""
-    if lat.element(m_id).rank < 2:
-        raise ValueError("reduced subcomplex needs rank >= 2")
-    maxima = _maximal(lat, betti_below(lat, field, m_id))
-    facets = prune_facets(tuple(sorted(lat.element(b).A)) for b in maxima)
-    return maxima, tuple(facets)
-
-
-def reduced_subcomplex_i(lat: LcmLattice, field: Field, m_id: int, i: int):
-    """(maximal elements of B_i(m), their labels as facets).
-
-    B_i(m) keeps the elements strictly below m whose complex has
-    homology in dimension i-1.
+    B(m) holds the nonbottom Betti-poset elements strictly below m; B_i(m)
+    keeps those whose complex has homology in dimension i-1.
     """
     if lat.element(m_id).rank < 2:
         raise ValueError("reduced subcomplex needs rank >= 2")
-    pool = [b for b in betti_below(lat, field, m_id)
-            if (i - 1) in lat.homology_at(b, field)]
-    maxima = _maximal(lat, pool)
+    pool = []
+    for e in lat.elements:
+        if e.id != lat.bottom and lat.lt(e.id, m_id):
+            hom = lat.homology_at(e.id, field)
+            if hom and (i is None or i - 1 in hom):
+                pool.append(e.id)
+    maxima = [b for b in pool if not any(lat.lt(b, c) for c in pool)]
     facets = prune_facets(tuple(sorted(lat.element(b).A)) for b in maxima)
     return maxima, tuple(facets)
 
@@ -367,30 +348,43 @@ class ConstructionOutput:
 
 def _construction_levels(lat: LcmLattice, hb: HomologyBasis):
     """Level labels (element, dim, j): bottom; atoms in generator order; blocks."""
-    levels = [[(lat.bottom, -2, 0)]]
-    levels.append([(a, -1, 0) for a in lat.atom_ids])
-    top = 1
-    for e in lat.elements:
-        for d in hb.dims(e.id):
-            top = max(top, d + 2)
-    for i in range(2, top + 1):
-        lv = []
-        for e in lat.elements:
-            if e.id == lat.bottom or e.rank < 2:
-                continue
-            for j in range(len(hb.classes_at(e.id, i - 2))):
-                lv.append((e.id, i - 2, j))
-        levels.append(lv)
-    while len(levels) > 1 and not levels[-1]:
-        levels.pop()
-    return levels
+    blocks = [(e.id, d, j) for e in lat.elements if e.rank >= 2
+              for d in hb.dims(e.id) for j in range(len(hb.classes_at(e.id, d)))]
+    top = max((d + 2 for _, d, _ in blocks), default=1)
+    return [[(lat.bottom, -2, 0)], [(a, -1, 0) for a in lat.atom_ids]] + [
+        [b for b in blocks if b[1] == i - 2] for i in range(2, top + 1)]
 
 
-def _component_column(lat, field, hb, m_id, preimage: Chain, gammas, row_index, nrows):
+def _column(lat: LcmLattice, hb: HomologyBasis, lbl, i: int | None = None, preimages=None):
+    """(gammas, facets, preimage) of the column at the basis class lbl = (m, d, j).
+
+    The subcomplex is generated by the maximal elements of B(m), or of
+    B_i(m) when i is given.  The preimage is the canonical one, or the
+    explicit one in `preimages`, which must lie in the subcomplex and map
+    to the basis class under inclusion.
+    """
+    m, d, j = lbl
+    field = hb.field
+    gammas, facets = reduced_subcomplex(lat, field, m, i)
+    if not preimages or lbl not in preimages:
+        return gammas, facets, sigma_preimage(lat, field, m, facets, hb.classes_at(m, d)[j])
+    z = preimages[lbl]
+    want = [field.one if k == j else field.zero for k in range(len(hb.classes_at(m, d)))]
+    try:
+        ok = sigma_map(lat, field, m, facets, z, hb) == want
+    except ValueError as e:
+        raise ValueError(f"explicit preimage at {lbl}: {e}") from None
+    if not ok:
+        raise ValueError(f"explicit preimage at {lbl} has the wrong class")
+    return gammas, facets, z
+
+
+def _component_column(lat: LcmLattice, hb: HomologyBasis, preimage: Chain, gammas, row_index):
     """Column of MV components of one preimage cycle over the maximal elements."""
-    col = [field.zero] * nrows
+    field = hb.field
+    col = [field.zero] * len(row_index)
     dim = preimage.dim
-    for s, g in enumerate(gammas):
+    for g in gammas:
         A_g = tuple(sorted(lat.element(g).A))
         others = [tuple(sorted(lat.element(h).A)) for h in gammas if h != g]
         d_c1 = mv_connecting(field, (A_g,), tuple(others) if others else ((),), preimage)
@@ -405,18 +399,25 @@ def _component_column(lat, field, hb, m_id, preimage: Chain, gammas, row_index, 
     return col
 
 
-def _assemble(lat, field, hb, levels, columns_for):
-    """Shared assembly: degree-1 map is the all-ones row; higher maps per column."""
-    matrices: list = [None]
-    matrices.append(Matrix(field, [[field.one] * len(levels[1])]))
+def _assemble(field: Field, levels, column, symbolic: bool = False):
+    """Maps per level: degree 1 is the all-ones row, column(lbl, row_index) gives the rest.
+
+    Scalar columns give Matrix maps; symbolic columns of Poly give lists of rows.
+    """
+    ones = Matrix(field, [[field.one] * len(levels[1])])
+    matrices: list = [None, poly_matrix_const(field, ones) if symbolic else ones]
     for i in range(2, len(levels)):
         row_index = {lbl: r for r, lbl in enumerate(levels[i - 1])}
-        cols = [columns_for(i, lbl, row_index, len(levels[i - 1])) for lbl in levels[i]]
-        matrices.append(Matrix.from_columns(field, len(levels[i - 1]), cols))
+        cols = [column(lbl, row_index) for lbl in levels[i]]
+        if symbolic:
+            matrices.append([[c[r] for c in cols] for r in range(len(row_index))])
+        else:
+            matrices.append(Matrix.from_columns(field, len(row_index), cols))
     return matrices
 
 
-def _homogenize(lat, field, hb, levels, matrices) -> MultigradedComplex:
+def _output(kind: str, lat: LcmLattice, hb: HomologyBasis, levels, matrices) -> ConstructionOutput:
+    """Homogenize the scalar maps over the lattice and verify the result."""
     names = lat.ideal.names
     lv_elems = []
     for i, lv in enumerate(levels):
@@ -431,7 +432,9 @@ def _homogenize(lat, field, hb, levels, matrices) -> MultigradedComplex:
                 label = f"[{format_chain(hb.classes_at(m, d)[j])}]@{mdeg.to_str(names)}"
             out.append(MgBasisElement(label, mdeg, i))
         lv_elems.append(out)
-    return MultigradedComplex(lat.ideal, field, lv_elems, matrices)
+    hom = MultigradedComplex(lat.ideal, hb.field, lv_elems, matrices)
+    return ConstructionOutput(kind, levels, matrices, hom, hom.is_complex(),
+                              verify_resolution(hom, lat))
 
 
 def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> ConstructionOutput:
@@ -440,17 +443,11 @@ def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None =
         hb = HomologyBasis.canonical(lat, field)
     levels = _construction_levels(lat, hb)
 
-    def columns_for(i, lbl, row_index, nrows):
-        m, d, j = lbl
-        rep = hb.classes_at(m, d)[j]
-        maxima, facets = reduced_subcomplex(lat, field, m)
-        z = sigma_preimage(lat, field, m, facets, rep)
-        return _component_column(lat, field, hb, m, z, maxima, row_index, nrows)
+    def column(lbl, row_index):
+        gammas, _, z = _column(lat, hb, lbl)
+        return _component_column(lat, hb, z, gammas, row_index)
 
-    matrices = _assemble(lat, field, hb, levels, columns_for)
-    hom = _homogenize(lat, field, hb, levels, matrices)
-    return ConstructionOutput("poset", levels, matrices, hom, hom.is_complex(),
-                              verify_resolution(hom, lat))
+    return _output("poset", lat, hb, levels, _assemble(field, levels, column))
 
 
 def rlm_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
@@ -459,34 +456,20 @@ def rlm_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = N
 
     `preimages` maps (element id, dim, j) to a cycle in the subcomplex
     generated by the maximal elements of B_dim(m); it must map to the
-    fixed basis class under inclusion.
+    fixed basis class under inclusion, and its key must name a column.
     """
     if hb is None:
         hb = HomologyBasis.canonical(lat, field)
-    preimages = preimages or {}
     levels = _construction_levels(lat, hb)
+    stray = set(preimages or ()).difference(*levels[2:])
+    if stray:
+        raise ValueError(f"preimage at {min(stray)} names no construction column")
 
-    def columns_for(i, lbl, row_index, nrows):
-        m, d, j = lbl
-        rep = hb.classes_at(m, d)[j]
-        gammas, facets = reduced_subcomplex_i(lat, field, m, d)
-        if (m, d, j) in preimages:
-            z = preimages[(m, d, j)]
-            sub_faces = faces_of(facets)
-            if any(fc not in sub_faces for fc in z.terms):
-                raise ValueError(f"explicit preimage at {(m, d, j)} leaves the subcomplex")
-            want = [field.zero] * len(hb.classes_at(m, d))
-            want[j] = field.one
-            if hb.class_coords(m, z) != want:
-                raise ValueError(f"explicit preimage at {(m, d, j)} has the wrong class")
-        else:
-            z = sigma_preimage(lat, field, m, facets, rep)
-        return _component_column(lat, field, hb, m, z, gammas, row_index, nrows)
+    def column(lbl, row_index):
+        gammas, _, z = _column(lat, hb, lbl, lbl[1], preimages)
+        return _component_column(lat, hb, z, gammas, row_index)
 
-    matrices = _assemble(lat, field, hb, levels, columns_for)
-    hom = _homogenize(lat, field, hb, levels, matrices)
-    return ConstructionOutput("rlm", levels, matrices, hom, hom.is_complex(),
-                              verify_resolution(hom, lat))
+    return _output("rlm", lat, hb, levels, _assemble(field, levels, column))
 
 
 @dataclass
@@ -501,12 +484,8 @@ class SymbolicRlm:
     field: Field
 
     def evaluate(self, values) -> ConstructionOutput:
-        mats: list = [None]
-        for i in range(1, len(self.levels)):
-            mats.append(poly_matrix_eval(self.field, self.matrices[i], values))
-        hom = _homogenize(self.lat, self.field, self.hb, self.levels, mats)
-        return ConstructionOutput("rlm", self.levels, mats, hom, hom.is_complex(),
-                                  verify_resolution(hom, self.lat))
+        mats = [None] + [poly_matrix_eval(self.field, m, values) for m in self.matrices[1:]]
+        return _output("rlm", self.lat, self.hb, self.levels, mats)
 
     def composites(self):
         """Symbolic products psi_{i-1} * psi_i for i >= 2."""
@@ -518,54 +497,45 @@ class SymbolicRlm:
 
 def rlm_symbolic(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
                  max_params: int | None = None) -> SymbolicRlm | None:
-    """Parameterize all rlm preimage choices; None if the parameter count explodes."""
+    """Parameterize all rlm preimage choices; None if there are more than max_params.
+
+    Each column is the canonical preimage plus one parameter per kernel
+    vector of the comparison map, so evaluate({}) is rlm_construction.
+    """
     if hb is None:
         hb = HomologyBasis.canonical(lat, field)
     levels = _construction_levels(lat, hb)
     params: list = []
     columns: dict = {}
-    for i in range(2, len(levels)):
-        for lbl in levels[i]:
-            m, d, j = lbl
-            rep = hb.classes_at(m, d)[j]
-            gammas, facets = reduced_subcomplex_i(lat, field, m, d)
-            base = sigma_preimage(lat, field, m, facets, rep)
-            kernels = []
-            sub_hom = reduced_homology(complex_of_facets(field, facets))
-            if d in sub_hom:
-                reps = sub_hom[d][1]
-                coord_cols = [hb.class_coords(m, rchain) for rchain in reps]
-                coeff = Matrix.from_columns(field, len(hb.classes_at(m, d)), coord_cols)
-                for vec in coeff.kernel_basis().columns():
-                    kernels.append(Chain.combine(field, list(zip(vec, reps)), dim=d))
-            columns[lbl] = (base, kernels, gammas)
-            for k in range(len(kernels)):
+    for lbl in [lbl for lv in levels[2:] for lbl in lv]:
+        m, d, j = lbl
+        gammas, facets, base = _column(lat, hb, lbl, d)
+        terms = [(Poly.const(field, field.one), base)]
+        sub_hom = reduced_homology(complex_of_facets(field, facets))
+        if d in sub_hom:
+            reps = sub_hom[d][1]
+            coord_cols = [hb.class_coords(m, rchain) for rchain in reps]
+            coeff = Matrix.from_columns(field, len(hb.classes_at(m, d)), coord_cols)
+            for k, vec in enumerate(coeff.kernel_basis().columns()):
+                kern = Chain.combine(field, list(zip(vec, reps)), dim=d)
+                terms.append((Poly.var(field, len(params)), kern))
                 params.append((m, d, j, k))
-                if max_params is not None and len(params) > max_params:
-                    return None
+        if max_params is not None and len(params) > max_params:
+            return None
+        columns[lbl] = (gammas, terms)
 
-    param_index = {meta: v for v, meta in enumerate(params)}
-    matrices: list = [None, poly_matrix_const(field, Matrix(field, [[field.one] * len(levels[1])]))]
-    for i in range(2, len(levels)):
-        row_index = {lbl: r for r, lbl in enumerate(levels[i - 1])}
-        nrows = len(levels[i - 1])
-        rows = [[Poly(field) for _ in levels[i]] for _ in range(nrows)]
-        for cidx, lbl in enumerate(levels[i]):
-            m, d, j = lbl
-            base, kernels, gammas = columns[lbl]
-            col = _component_column(lat, field, hb, m, base, gammas, row_index, nrows)
-            for r, v in enumerate(col):
+    def column(lbl, row_index):
+        gammas, terms = columns[lbl]
+        col = [Poly(field) for _ in row_index]
+        for t, z in terms:
+            if z.is_zero():
+                continue
+            for r, v in enumerate(_component_column(lat, hb, z, gammas, row_index)):
                 if v != field.zero:
-                    rows[r][cidx] = rows[r][cidx].add(Poly.const(field, v))
-            for k, kern in enumerate(kernels):
-                if kern.is_zero():
-                    continue
-                kcol = _component_column(lat, field, hb, m, kern, gammas, row_index, nrows)
-                t = Poly.var(field, param_index[(m, d, j, k)])
-                for r, v in enumerate(kcol):
-                    if v != field.zero:
-                        rows[r][cidx] = rows[r][cidx].add(t.scale(v))
-        matrices.append(rows)
+                    col[r] = col[r].add(t.scale(v))
+        return col
+
+    matrices = _assemble(field, levels, column, symbolic=True)
     return SymbolicRlm(levels, matrices, params, hb, lat, field)
 
 
@@ -575,20 +545,16 @@ def extract_basis_and_preimages(lat: LcmLattice, field: Field, basis: TaylorBasi
     For every chain e at element m the cycle boundary(e) represents its
     class, and the same cycle serves as the preimage in the relevant
     subcomplex; with these choices the rlm construction reproduces the
-    maximal approximation of the resolution frame by frame.
+    maximal approximation of the resolution frame by frame.  The atoms'
+    classes in dimension -1 get no preimage: the degree-1 map is fixed.
     """
     data: dict = {}
-    preimages: dict = {}
     for m in sorted(basis.by_elt):
         if m == lat.bottom:
             continue
         for c in basis.by_elt[m]:
             b = boundary(c)
-            d = b.dim
-            data.setdefault(m, {}).setdefault(d, []).append(b)
-    hb = HomologyBasis(lat, field, data)
-    for m, dims in data.items():
-        for d, reps in dims.items():
-            for j, rep in enumerate(reps):
-                preimages[(m, d, j)] = rep
-    return hb, preimages
+            data.setdefault(m, {}).setdefault(b.dim, []).append(b)
+    preimages = {(m, d, j): rep for m, dims in data.items() for d, reps in dims.items()
+                 if d >= 0 for j, rep in enumerate(reps)}
+    return HomologyBasis(lat, field, data), preimages

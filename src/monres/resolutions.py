@@ -18,7 +18,7 @@ from itertools import combinations
 from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.monomials import IdealParseError, Monomial, MonomialIdeal, parse_monomial
+from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
 from monres.vcomplex import BasedComplex, class_in_homology
 
 
@@ -148,25 +148,31 @@ class MultigradedComplex:
 
     @staticmethod
     def from_json(text: str) -> "MultigradedComplex":
-        doc = json.loads(text)
+        where = "the complex JSON"
+        doc = json_object(json.loads(text), {"vars": (list, str), "gens": (list, str),
+                                             "levels": (list, list), "frames": (list, list)}, where)
+        if not isinstance(doc.get("char", 0), int):
+            raise IdealParseError(f"{where}: 'char' is not an int")
+        if len(doc["frames"]) != len(doc["levels"]) - 1:
+            raise IdealParseError(f"{where}: {len(doc['frames'])} 'frames' for {len(doc['levels'])} 'levels'")
         field = Field(doc.get("char", 0))
         names = doc["vars"]
         ideal = MonomialIdeal(names, [parse_monomial(g, names) for g in doc["gens"]])
         levels = []
         for i, lv in enumerate(doc["levels"]):
-            levels.append([
-                MgBasisElement(e.get("label", f"e[{i}][{j}]"), parse_monomial(e["mdeg"], names), i)
-                for j, e in enumerate(lv)
-            ])
+            levels.append([])
+            for j, e in enumerate(lv):
+                json_object(e, {"mdeg": str}, f"{where}: levels[{i}][{j}]")
+                levels[i].append(MgBasisElement(e.get("label", f"e[{i}][{j}]"),
+                                                parse_monomial(e["mdeg"], names), i))
         frames: list = [None]
         for i, rows in enumerate(doc["frames"], start=1):
-            if not rows:
-                frames.append(Matrix.zero(field, len(levels[i - 1]), len(levels[i])))
-                continue
-            m = Matrix(field, [[_frame_entry(field, x) for x in row] for row in rows])
-            if m.nrows != len(levels[i - 1]) or m.ncols != len(levels[i]):
-                raise ValueError("frame shape mismatch in JSON input")
-            frames.append(m)
+            shape = (len(levels[i - 1]), len(levels[i]))
+            if len(rows) != shape[0] or any(not isinstance(row, list) or len(row) != shape[1]
+                                            for row in rows):
+                raise IdealParseError(f"{where}: frames[{i - 1}] is not a {shape[0]} x {shape[1]} matrix")
+            frames.append(Matrix(field, [[_frame_entry(field, x) for x in row] for row in rows])
+                          if rows else Matrix.zero(field, *shape))
         return MultigradedComplex(ideal, field, levels, frames)
 
     def render_text(self) -> str:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monres.classify as classify_module
 from monres.chains import Chain
 from monres.classify import (IMPLICATIONS, classify, is_homologically_monotonic,
                              lattice_linear_greedy)
@@ -141,6 +142,45 @@ def test_corpus_diagram_consistency():
 def test_gf2_classification_runs(lattices):
     rep = classify(LcmLattice.from_ideal(lattices["triangle"].ideal), Field(2))
     assert rep["homologically_monotonic"].verdict == "yes"
+
+
+# -- the symbolic analysis and its parameter budget --------------------------
+
+
+@pytest.mark.parametrize("name", ["four_gens", "split6"])
+def test_over_budget_skips_symbolic_analysis(lattices, monkeypatch, name):
+    # past the budget only the canonical instance is built: verdicts may only
+    # fall back to unknown, and none rests on a symbolic certificate
+    lat = lattices[name]
+    within = classify(lat, QQ)
+    monkeypatch.setattr(classify_module, "MAX_RLM_PARAMS", 0)
+    real, calls = classify_module.rlm_construction, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "rlm_construction", counted)
+    analysis = classify_module.analyse_rlm(lat, QQ)
+    assert len(calls) == 1
+    assert not (analysis.composites_zero or analysis.const_nonzero_entry
+                or analysis.certified_all_choices)
+    assert analysis.complex_breaking_point is None
+    over = classify(lat, QQ)
+    assert over.consistent()
+    assert "symbolically" not in over["strongly_homology_linear"].witness
+    for cls, verdict, _ in over.rows():
+        assert verdict in (within[cls].verdict, "unknown"), cls
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_classify_within_budget_builds_no_separate_canonical_rlm(lattices, monkeypatch, char):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rlm_construction called within the parameter budget")
+
+    monkeypatch.setattr(classify_module, "rlm_construction", refuse)
+    for name, lat in lattices.items():
+        assert classify(lat, Field(char)).consistent(), name
 
 
 # -- differential check against the stand-alone greedy run ----------------

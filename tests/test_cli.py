@@ -234,3 +234,65 @@ def test_choices_label_outside_lattice_is_precondition(capsys, ideal_file, tmp_p
     path.write_text(json.dumps({"bases": [{"A": [2, 3], "dim": 0, "chains": ["-2+3"]}]}))
     assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _complex_doc(capsys, ideal_file):
+    code, out = run(capsys, "--json", "resolve", ideal_file("triangle"))
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("key, breakage", [
+    pytest.param("frames", lambda d: {**d, "frames": d["frames"] + [[]]}, id="extra-frame"),
+    pytest.param("frames", lambda d: {**d, "frames": d["frames"][:-1]}, id="missing-frame"),
+    pytest.param("frames", lambda d: {**d, "frames": [[r[:-1] for r in d["frames"][0]]] + d["frames"][1:]},
+                 id="short-row"),
+    pytest.param("frames", lambda d: {**d, "frames": d["frames"][:1] + [d["frames"][1][:-1]]},
+                 id="missing-row"),
+    pytest.param("frames", lambda d: {**d, "frames": [[]] + d["frames"][1:]}, id="emptied-frame"),
+    pytest.param("frames", lambda d: {**d, "frames": ["1"] + d["frames"][1:]}, id="frame-not-list"),
+    pytest.param("frames", lambda d: {**d, "frames": [["1"]] + d["frames"][1:]}, id="row-not-list"),
+    pytest.param("object", lambda d: [d], id="top-not-object"),
+    pytest.param("vars", lambda d: {k: v for k, v in d.items() if k != "vars"}, id="no-vars"),
+    pytest.param("gens", lambda d: {**d, "gens": "x*y"}, id="gens-not-list"),
+    pytest.param("levels", lambda d: {**d, "levels": 3}, id="levels-not-list"),
+    pytest.param("levels[0][0]", lambda d: {**d, "levels": [[5]] + d["levels"][1:]}, id="entry-not-object"),
+    pytest.param("mdeg", lambda d: {**d, "levels": [[{"label": "1"}]] + d["levels"][1:]}, id="no-mdeg"),
+    pytest.param("char", lambda d: {**d, "char": "2"}, id="char-not-int"),
+])
+def test_malformed_complex_dump_is_parse_error(capsys, ideal_file, tmp_path, key, breakage):
+    dump = tmp_path / "broken.json"
+    dump.write_text(json.dumps(breakage(_complex_doc(capsys, ideal_file))))
+    assert main(["verify", str(dump)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("elements", {"elements": 5}),
+    ("elements", {"vars": ["x"], "gens": ["x"]}),
+    ("A", {"elements": [{"A": [[1]]}]}),
+    ("A", {"elements": [{"A": "12"}]}),
+    ("A", {"elements": [{}]}),
+    ("elements[0]", {"elements": [5]}),
+    ("vars", {"vars": "x", "gens": ["x"], "elements": [{"A": []}, {"A": [1]}]}),
+])
+def test_malformed_lattice_dump_is_parse_error(capsys, tmp_path, key, doc):
+    dump = tmp_path / "lattice.json"
+    dump.write_text(json.dumps(doc))
+    assert main(["betti", str(dump)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [
+    {"A": [1], "dim": -1, "chain": "{}"},
+    {"A": [1, 2, 3], "dim": 1, "chain": "12"},
+    {"A": [1, 2, 3], "dim": 0, "j": 1, "chain": "-2+3"},
+])
+def test_choices_preimage_without_column_is_precondition(capsys, ideal_file, tmp_path, entry):
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps({"preimages": [entry]}))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: preimage at") and "names no construction column" in err

@@ -1,5 +1,7 @@
 """Mayer-Vietoris machinery: subcomplexes, comparison maps, both constructions."""
 
+import re
+
 import pytest
 
 from monres.chains import Chain, boundary, parse_chain
@@ -7,12 +9,12 @@ from monres.linalg import Field, Matrix
 from monres.posetres import (HomologyBasis, SymbolicRlm, certified_constant_rank,
                              extract_basis_and_preimages, intersection_facets,
                              mv_connecting, poset_construction, reduced_subcomplex,
-                             reduced_subcomplex_i, rlm_construction, rlm_symbolic,
+                             rlm_construction, rlm_symbolic,
                              sigma_dims, sigma_preimage, Poly)
 from monres.resolutions import atomic_lattice_resolution, maximal_approximation
 from monres.vcomplex import class_in_homology, complex_of_facets
 
-from conftest import random_corpus
+from conftest import IDEALS, LATTICES, random_corpus
 
 
 QQ = Field(0)
@@ -36,16 +38,16 @@ def q(*vals):
 def test_reduced_subcomplex_i_fan5(lattices):
     lat = lattices["fan5"]
     inner = lat.id_of_label({2, 3, 4, 5})
-    _, f1 = reduced_subcomplex_i(lat, QQ, inner, 1)
+    _, f1 = reduced_subcomplex(lat, QQ, inner, 1)
     assert set(f1) == {(2, 3), (2, 4), (3, 4)}
-    _, f0 = reduced_subcomplex_i(lat, QQ, inner, 0)
+    _, f0 = reduced_subcomplex(lat, QQ, inner, 0)
     assert set(f0) == {(2,), (3,), (4,), (5,)}
 
 
 def test_reduced_subcomplex_i_equals_full(lattices):
     lat = lattices["four_gens"]
     top = lat.top
-    _, f1 = reduced_subcomplex_i(lat, QQ, top, 1)
+    _, f1 = reduced_subcomplex(lat, QQ, top, 1)
     assert set(f1) == set(lat.simplicial_complex_at(top).facets)
 
 
@@ -70,7 +72,7 @@ def test_sigma_iso_dimensions(lattices):
 def test_sigma_i_surjective_dimensions(lattices):
     lat = lattices["cone3b"]
     top = lat.top
-    _, facets = reduced_subcomplex_i(lat, QQ, top, 0)
+    _, facets = reduced_subcomplex(lat, QQ, top, 0)
     sub, full = sigma_dims(lat, QQ, top, facets)
     assert sub[0] == 2 and full[0] == 1  # strictly bigger: only surjective
 
@@ -80,7 +82,7 @@ def test_sigma_preimage_class(lattices):
     top = lat.top
     hb = HomologyBasis.canonical(lat, QQ)
     rep = hb.classes_at(top, 0)[0]
-    _, facets = reduced_subcomplex_i(lat, QQ, top, 0)
+    _, facets = reduced_subcomplex(lat, QQ, top, 0)
     z = sigma_preimage(lat, QQ, top, facets, rep)
     # z is a cycle of vertices, in the subcomplex, with the same class
     assert z.dim == 0
@@ -209,6 +211,28 @@ def test_rlm_rejects_bad_preimage(lattices):
         rlm_construction(lat, QQ, preimages={(top, 0, 0): ch("-1+2")})
 
 
+def test_rlm_rejects_unusable_preimages(lattices):
+    lat = lattices["cone3b"]
+    top, atom = lat.top, lat.atom_ids[0]
+    # keys that name no column: an atom, a dim without homology, j past the classes
+    for key, chain in (((atom, -1, 0), Chain(QQ, {(): QQ.one})),
+                       ((top, 1, 0), ch("12")), ((top, 0, 1), ch("-2+3"))):
+        with pytest.raises(ValueError, match=re.escape(f"preimage at {key} names no construction column")):
+            rlm_construction(lat, QQ, preimages={key: chain})
+    # a usable key with a chain of the wrong dimension or outside the subcomplex
+    for chain in (ch("12"), ch("-1+2"), ch("3")):
+        with pytest.raises(ValueError, match=re.escape(f"explicit preimage at {(top, 0, 0)}")):
+            rlm_construction(lat, QQ, preimages={(top, 0, 0): chain})
+
+
+def test_extracted_preimages_name_columns(lattices):
+    for name in ("triangle", "four_gens", "cone3b", "fan5"):
+        lat = lattices[name]
+        basis, _ = atomic_lattice_resolution(lat, QQ)
+        _, pre = extract_basis_and_preimages(lat, QQ, basis)
+        assert pre and all(d >= 0 and lat.element(m).rank >= 2 for m, d, _ in pre)
+
+
 def test_rlm_four_gens_not_complex(lattices):
     out = rlm_construction(lattices["four_gens"], QQ)
     assert not out.matrices[2].mul(out.matrices[3]).is_zero()
@@ -281,6 +305,20 @@ def test_rlm_symbolic_parameters(lattices):
         assert canonical.matrices[i] == direct.matrices[i]
 
 
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name", list(IDEALS) + list(LATTICES))
+def test_rlm_symbolic_canonical_instance_is_rlm_construction(lattices, name, char):
+    # classify reads the canonical instance off the symbolic construction
+    lat, field = lattices[name], Field(char)
+    canonical = rlm_symbolic(lat, field).evaluate({})
+    direct = rlm_construction(lat, field)
+    assert canonical.labels == direct.labels
+    assert canonical.matrices[1:] == direct.matrices[1:]
+    assert canonical.homogenized.to_json() == direct.homogenized.to_json()
+    assert canonical.is_complex == direct.is_complex
+    assert canonical.report == direct.report
+
+
 def test_rlm_symbolic_split6_identically_complex(lattices):
     sym = rlm_symbolic(lattices["split6"], QQ)
     assert len(sym.params) >= 1
@@ -320,7 +358,7 @@ def test_sigma_map_wrapper(lattices):
 
     lat = lattices["cone3b"]
     hb = HomologyBasis.canonical(lat, QQ)
-    _, facets = reduced_subcomplex_i(lat, QQ, lat.top, 0)
+    _, facets = reduced_subcomplex(lat, QQ, lat.top, 0)
     rep = hb.classes_at(lat.top, 0)[0]
     z = sigma_preimage(lat, QQ, lat.top, facets, rep)
     assert sigma_map(lat, QQ, lat.top, facets, z, hb) == [QQ.one]
@@ -344,7 +382,7 @@ def test_sigma_i_surjective_and_sufficient_iso(lattices):
             for d in hom:
                 if d < 0:
                     continue
-                gammas, facets = reduced_subcomplex_i(lat, QQ, e.id, d)
+                gammas, facets = reduced_subcomplex(lat, QQ, e.id, d)
                 for rep in hb.classes_at(e.id, d):
                     z = sigma_preimage(lat, QQ, e.id, facets, rep)  # must exist
                     assert hb.class_coords(e.id, z) == hb.class_coords(e.id, rep)
