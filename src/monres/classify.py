@@ -87,16 +87,6 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def _homology_dims(lat: LcmLattice, field: Field):
-    dims = {}
-    for e in lat.elements:
-        if e.id == lat.bottom:
-            continue
-        hom = lat.homology_at(e.id, field)
-        dims[e.id] = {d: n for d, (n, _) in hom.items()}
-    return dims
-
-
 def is_scarf(lat: LcmLattice, field: Field) -> ClassVerdict:
     for m in lat.betti_poset_ids(field):
         if m == lat.bottom:
@@ -116,7 +106,7 @@ def is_nearly_scarf(lat: LcmLattice) -> ClassVerdict:
 
 
 def is_homologically_monotonic(lat: LcmLattice, field: Field) -> ClassVerdict:
-    dims = _homology_dims(lat, field)
+    dims = {e.id: lat.homology_dims_at(e.id, field) for e in lat.elements if e.id != lat.bottom}
     for m1, d1 in dims.items():
         if not d1:
             continue
@@ -135,17 +125,17 @@ def is_rigid(lat: LcmLattice, field: Field) -> ClassVerdict:
     hm = is_homologically_monotonic(lat, field)
     if hm.verdict != "yes":
         return ClassVerdict("no", "not homologically monotonic")
-    for m, d in _homology_dims(lat, field).items():
-        total = sum(d.values())
-        if m in lat.atom_ids:
+    for m in lat.betti_poset_ids(field):
+        if m == lat.bottom or m in lat.atom_ids:
             continue
-        if d and total != 1:
+        total = sum(lat.homology_dims_at(m, field).values())
+        if total != 1:
             return ClassVerdict("no", f"dim H~(Delta) = {total} at {sorted(lat.element(m).A)}")
     return ClassVerdict("yes")
 
 
 def is_nearly_hm(lat: LcmLattice, field: Field) -> ClassVerdict:
-    dims = _homology_dims(lat, field)
+    dims = {e.id: lat.homology_dims_at(e.id, field) for e in lat.elements if e.id != lat.bottom}
     for m1, d1 in dims.items():
         for m2, d2 in dims.items():
             if not lat.lt(m1, m2):

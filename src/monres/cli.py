@@ -34,10 +34,16 @@ EXIT_PRECONDITION = 4
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of `path` ('-' is stdin); an unreadable input is a parse error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise IdealParseError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise IdealParseError(f"{path} is not UTF-8 text: {e}") from e
 
 
 def _load_lattice(path: str, minimize_gens: bool):

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from monres.linalg import Field
 from monres.monomials import Monomial, MonomialIdeal, json_object, parse_monomial
-from monres.vcomplex import complex_of_facets, reduced_homology
+from monres.vcomplex import complex_of_facets, reduced_homology, reduced_homology_dims
 
 MAX_ATOMS = 63
 
@@ -81,6 +81,7 @@ class LcmLattice:
         self.atom_ids = [self.by_label[frozenset([i])] for i in range(1, self.r + 1)]
         self._complex_cache: dict = {}
         self._homology_cache: dict = {}
+        self._dims_cache: dict = {}
 
     # -- construction ------------------------------------------------
     @staticmethod
@@ -227,22 +228,45 @@ class LcmLattice:
             cache[m_id] = complex_of_facets(field, self.simplicial_complex_at(m_id).facets)
         return cache[m_id]
 
+    def homology_dims_at(self, m_id: int, field: Field):
+        """dict dim -> dim_k H~_dim of Delta_m, read from the smaller of two models.
+
+        The upper Koszul complex K^m = {W in supp m : m / x^W in I} has the
+        same reduced homology dimensions as Delta_m: both give b_{dim+2,m}(S/I)
+        (Miller-Sturmfels, Thm 1.34).  Its faces lie in the simplices
+        {v : g_v < m_v} of the generators g dividing m, so it has at most
+        2^|supp m| faces against 2^|A_m|, and only its ranks are needed.
+        Where |A_m| <= |supp m| (always on the one-variable-per-element
+        ideals of `from_labels`), Delta_m is reduced instead and its
+        homology cached for `homology_at`, so it is never reduced twice.
+        """
+        cache = self._dims_cache.setdefault(field.char, {})
+        if m_id not in cache:
+            e = self.elements[m_id]
+            m = e.mdeg.exponents
+            if sum(1 for x in m if x) < len(e.A):
+                koszul = [tuple(v for v, (a, b) in enumerate(zip(self._exponents[i], m)) if a < b)
+                          for i in e.A]
+                cache[m_id] = reduced_homology_dims(complex_of_facets(field, koszul))
+            else:
+                hom = reduced_homology(self.complex_at(m_id, field))
+                self._homology_cache.setdefault(field.char, {})[m_id] = hom
+                cache[m_id] = {d: n for d, (n, _) in hom.items()}
+        return cache[m_id]
+
     def homology_at(self, m_id: int, field: Field):
-        """dict dim -> (dim_k H~, representative Chains) for Delta_m."""
+        """dict dim -> (dim_k H~, representative Chains) for Delta_m; {} where it vanishes."""
         cache = self._homology_cache.setdefault(field.char, {})
+        if m_id not in cache and not self.homology_dims_at(m_id, field):
+            cache[m_id] = {}
         if m_id not in cache:
             cache[m_id] = reduced_homology(self.complex_at(m_id, field))
         return cache[m_id]
 
     def betti_poset_ids(self, field: Field):
         """Bottom plus every element with nonvanishing reduced homology."""
-        out = [self.bottom]
-        for e in self.elements:
-            if e.id == self.bottom:
-                continue
-            if self.homology_at(e.id, field):
-                out.append(e.id)
-        return out
+        return [self.bottom] + [e.id for e in self.elements
+                                if e.id != self.bottom and self.homology_dims_at(e.id, field)]
 
     def betti_numbers(self, field: Field):
         """Homology-formula Betti table: (i, element id) -> b_{i,m}."""
@@ -250,7 +274,7 @@ class LcmLattice:
         for e in self.elements:
             if e.id == self.bottom:
                 continue
-            for dim, (n, _) in self.homology_at(e.id, field).items():
+            for dim, n in self.homology_dims_at(e.id, field).items():
                 table[(dim + 2, e.id)] = n
         return table
 

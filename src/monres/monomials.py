@@ -239,6 +239,9 @@ def random_minimal_ideal(r: int, n: int, maxdeg: int, rng: random.Random) -> Mon
     comparable, so the antichain always extends), with occasional fully
     random draws for variety; comparable candidates are rejected.
     """
+    if n < 1 or maxdeg < 1:
+        raise RuntimeError(f"could not build an antichain in {n} vars with exponents up to {maxdeg}: "
+                           "both must be at least 1")
     names = [f"x{i + 1}" for i in range(n)]
     mid = max(1, (n * maxdeg) // 2)
     layer = [0] * (n * maxdeg + 1)

@@ -25,7 +25,7 @@ from monres.linalg import Field, Matrix
 from monres.resolutions import (MgBasisElement, MultigradedComplex, TaylorBasis,
                                 VerificationReport, verify_resolution)
 from monres.vcomplex import (class_in_homology, complex_of_facets, faces_of, prune_facets,
-                             reduced_homology)
+                             reduced_homology, reduced_homology_dims)
 
 
 # -- homology bases ----------------------------------------------------
@@ -97,8 +97,8 @@ def reduced_subcomplex(lat: LcmLattice, field: Field, m_id: int, i: int | None =
     pool = []
     for e in lat.elements:
         if e.id != lat.bottom and lat.lt(e.id, m_id):
-            hom = lat.homology_at(e.id, field)
-            if hom and (i is None or i - 1 in hom):
+            dims = lat.homology_dims_at(e.id, field)
+            if dims and (i is None or i - 1 in dims):
                 pool.append(e.id)
     maxima = [b for b in pool if not any(lat.lt(b, c) for c in pool)]
     facets = prune_facets(tuple(sorted(lat.element(b).A)) for b in maxima)
@@ -172,9 +172,7 @@ def sigma_preimage(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: 
 
 def sigma_dims(lat: LcmLattice, field: Field, m_id: int, sub_facets):
     """(dims of homology of the subcomplex, dims of homology of Delta_m)."""
-    sub = reduced_homology(complex_of_facets(field, sub_facets))
-    full = lat.homology_at(m_id, field)
-    return ({d: n for d, (n, _) in sub.items()}, {d: n for d, (n, _) in full.items()})
+    return reduced_homology_dims(complex_of_facets(field, sub_facets)), lat.homology_dims_at(m_id, field)
 
 
 # -- symbolic polynomials for the preimage parameters ---------------------

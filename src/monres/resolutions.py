@@ -606,16 +606,14 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
     for e in lat.elements:
         if e.id == lat.bottom or e.rank == 1:
             continue
-        hom = lat.homology_at(e.id, field)
         mine = by_elt.get(e.id, [])
         for c in mine:
             if not set(support(c)) <= set(e.A):
                 raise TaylorBasisError(f"chain {format_chain(c)} leaves the simplex at its element", e.id)
-        cx = lat.complex_at(e.id, field)
         by_dim: dict = {}
         for c in mine:
             by_dim.setdefault(c.dim - 1, []).append(c)
-        dims_needed = {d: n for d, (n, _) in hom.items()}
+        dims_needed = lat.homology_dims_at(e.id, field)
         for d in set(by_dim) | set(dims_needed):
             got = by_dim.get(d, [])
             want = dims_needed.get(d, 0)
@@ -626,6 +624,7 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
                 )
             if not got:
                 continue
+            cx, hom = lat.complex_at(e.id, field), lat.homology_at(e.id, field)
             coords = []
             for c in got:
                 try:

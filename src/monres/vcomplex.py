@@ -237,6 +237,14 @@ def reduced_homology(cx: BasedComplex):
     return out
 
 
+def reduced_homology_dims(cx: BasedComplex):
+    """Of a face-labelled complex: dict d -> dim_k H~_d, from the ranks of its maps alone."""
+    ranks = [0] + [cx.maps[h].rank() for h in range(1, cx.length + 1)] + [0]
+    dims = {level - 1: cx.level_dim(level) - ranks[level] - ranks[level + 1]
+            for level in range(cx.length + 1)}
+    return {d: n for d, n in dims.items() if n}
+
+
 def chain_to_coords(cx: BasedComplex, c: Chain):
     """Coordinates of a face-labelled chain in a face-labelled complex level."""
     level = c.dim + 1

@@ -123,6 +123,30 @@ def test_random_reproducible(capsys):
     assert out1 != out3
 
 
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "is not UTF-8 text: 'utf-8' codec can't decode"),
+])
+def test_unreadable_input_is_parse_error(capsys, tmp_path, kind, reason):
+    path = tmp_path / "input.ideal"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes("vars x; gens x\u00e9".encode("latin-1"))
+    assert main(["betti", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and str(path) in err and reason in err
+
+
+@pytest.mark.parametrize("argv", [["--r", "3", "--n", "0"], ["--r", "2", "--n", "2", "--maxdeg", "0"],
+                                  ["--r", "2", "--n", "-1"]])
+def test_random_rejects_empty_grids(capsys, argv):
+    assert main(["random", *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not build an antichain") and "at least 1" in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars x; gens y*z")

@@ -12,7 +12,7 @@ from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field
 from monres.monomials import Monomial, parse_ideal_text, random_minimal_ideal
-from monres.vcomplex import reduced_homology
+from monres.vcomplex import complex_of_facets, reduced_homology
 
 from conftest import LATTICES, random_corpus
 
@@ -301,3 +301,115 @@ def test_lattice_matches_reference_on_label_lattices():
         subsets = [frozenset(A) for size in range(lat.r + 1)
                    for A in combinations(range(1, lat.r + 1), size)]
         assert_matches_reference(lat, subsets)
+
+
+# -- the two homology models ------------------------------------------------
+#
+# `homology_dims_at` reads the homology dimensions of Delta_m from the upper
+# Koszul complex K^m where that model is smaller.  The references below take
+# K^m from its definition and reduce Delta_m at every element.
+
+FIELDS = (Field(0), Field(2), Field(32003))
+
+
+def dims_of(hom):
+    return {d: n for d, (n, _) in hom.items()}
+
+
+def ref_koszul_faces(ideal, m):
+    """K^m = {W in supp m : m / x^W in I}, every subset tested against every generator."""
+    supp = [v for v, e in enumerate(m.exponents) if e]
+    faces = []
+    for size in range(len(supp) + 1):
+        for W in combinations(supp, size):
+            quotient = Monomial(tuple(e - (v in W) for v, e in enumerate(m.exponents)))
+            if ideal.contains_monomial(quotient):
+                faces.append(W)
+    return faces
+
+
+def ref_betti_numbers(lat, field):
+    """The homology-formula Betti table with Delta_m reduced at every element."""
+    table = {(0, lat.bottom): 1}
+    for e in lat.elements:
+        if e.id != lat.bottom:
+            for d, n in dims_of(reduced_homology(lat.complex_at(e.id, field))).items():
+                table[(d + 2, e.id)] = n
+    return table
+
+
+def assert_models_agree(lat, field):
+    """K^m (where supp m has at most 8 variables), Delta_m and the lattice agree at every element."""
+    ref = ref_betti_numbers(lat, field)
+    for e in lat.elements:
+        if e.id == lat.bottom:
+            continue
+        delta = {i - 2: n for (i, m), n in ref.items() if m == e.id}
+        if sum(1 for x in e.mdeg.exponents if x) <= 8:  # label lattices have one variable per element
+            koszul = reduced_homology(complex_of_facets(field, ref_koszul_faces(lat.ideal, e.mdeg)))
+            assert dims_of(koszul) == delta, (sorted(e.A), field)
+        assert lat.homology_dims_at(e.id, field) == delta, (sorted(e.A), field)
+    assert lat.betti_numbers(field) == ref
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.char}")
+def test_homology_models_agree_on_named_lattices(lattices, field):
+    for name, lat in lattices.items():
+        assert_models_agree(LcmLattice.from_ideal(lat.ideal), field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(char=st.sampled_from([f.char for f in FIELDS]), fewer_vars=st.integers(0, 3),
+       fewer_gens=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_homology_models_agree_on_generated_ideals(char, fewer_vars, fewer_gens, seed):
+    # sizes counted down from n = 5, r = 8, which hypothesis would otherwise rarely draw
+    n, r = 5 - fewer_vars, 8 - fewer_gens
+    rng = random.Random(seed)
+    while True:
+        try:
+            ideal = random_minimal_ideal(r, n, 3, rng)
+            break
+        except RuntimeError:
+            r -= 1  # no antichain of that size in the grid
+    assert_models_agree(LcmLattice.from_ideal(ideal), Field(char))
+
+
+def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
+    # n = 3 < r = 9: Delta_m is reduced only where |A_m| <= |supp m| <= 3
+    lat = LcmLattice.from_ideal(random_minimal_ideal(9, 3, 3, random.Random(6)))
+    reduced, delta = [], []
+
+    def counting(reduce):
+        def wrapped(cx):
+            reduced.append(cx)
+            return reduce(cx)
+        return wrapped
+
+    def counting_complex_at(self, m_id, field):
+        delta.append(m_id)
+        return complex_at(self, m_id, field)
+
+    complex_at = LcmLattice.complex_at
+    for name in ("reduced_homology", "reduced_homology_dims"):
+        monkeypatch.setattr(lattice_module, name, counting(getattr(lattice_module, name)))
+    monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
+    table = lat.betti_numbers(QQ)
+    small = {e.id for e in lat.elements
+             if e.id != lat.bottom and len(e.A) <= sum(1 for x in e.mdeg.exponents if x)}
+    assert len(reduced) == len(lat) - 1
+    assert set(delta) == small and len(delta) == len(small)
+    assert all(len(lat.element(m).A) <= 3 for m in small) and lat.top not in small
+    assert lat.betti_numbers(QQ) == table and len(reduced) == len(lat) - 1
+    # the Delta_m route filled the homology cache: no element is reduced twice
+    for m in small:
+        assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
+    assert len(reduced) == len(lat) - 1 and len(delta) == len(small)
+    # representatives: {} at once where the dims vanish, Delta_m once where they do not
+    koszul_ids = [e.id for e in lat.elements if e.id != lat.bottom and e.id not in small]
+    zero = [m for m in koszul_ids if not lat.homology_dims_at(m, QQ)]
+    betti = [m for m in koszul_ids if lat.homology_dims_at(m, QQ)]
+    assert zero and betti
+    assert all(lat.homology_at(m, QQ) == {} for m in zero) and len(reduced) == len(lat) - 1
+    for m in betti:
+        assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
+    assert delta[len(small):] == betti and len(reduced) == len(lat) - 1 + len(betti)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from monres.linalg import Field, Matrix
 from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure,
-                             is_exact_closure_of, reduced_homology)
+                             is_exact_closure_of, reduced_homology, reduced_homology_dims)
 
 
 QQ = Field(0)
@@ -146,3 +146,11 @@ def test_homology_matches_greedy_reference(char, facets):
     cx = complex_of_facets(Field(char), facets)
     for i in range(cx.length + 2):
         assert cx.homology(i) == ref_homology(cx, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]),
+       facets=st.lists(st.frozensets(st.integers(1, 6), max_size=4), min_size=1, max_size=6))
+def test_homology_dims_from_ranks(char, facets):
+    cx = complex_of_facets(Field(char), facets)
+    assert reduced_homology_dims(cx) == {d: n for d, (n, _) in reduced_homology(cx).items()}
