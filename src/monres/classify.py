@@ -169,7 +169,7 @@ def lattice_linear_greedy(lat: LcmLattice, field: Field):
         covered = set(e.covers)
         picks = {}
         for level in range(U.length + 1):
-            mu, _ = U.homology(level)
+            mu = U.homology_dim(level)
             if mu == 0:
                 continue
             cov_pos = [j for j, m in enumerate(elts[level]) if m in covered]

@@ -276,6 +276,8 @@ def cmd_scarf(args):
 
 
 def cmd_random(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     out = []
     for _ in range(args.count):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 
 from monres.linalg import Field
 from monres.monomials import Monomial, MonomialIdeal, json_object, parse_monomial
@@ -88,22 +89,23 @@ class LcmLattice:
     def from_ideal(ideal: MonomialIdeal) -> "LcmLattice":
         if ideal.r > MAX_ATOMS:
             raise ValueError(f"at most {MAX_ATOMS} generators supported")
-        # join-closure from the bottom: every lcm is a chain of joins with atoms
-        one = ideal.one()
-        mdegs = {one.exponents: one}
-        frontier = [one]
+        # join-closure from the bottom on exponent tuples: every lcm is a
+        # chain of joins with atoms
+        gens = [g.exponents for g in ideal.gens]
+        mdegs = {ideal.one().exponents: None}
+        frontier = list(mdegs)
         while frontier:
             new: dict = {}
             for m in frontier:
-                for g in ideal.gens:
-                    j = m.lcm(g)
-                    if j.exponents not in mdegs:
-                        new[j.exponents] = j
+                for g in gens:
+                    j = tuple(map(max, m, g))
+                    if j not in mdegs:
+                        new[j] = None
             mdegs.update(new)
-            frontier = list(new.values())
+            frontier = list(new)
         return LcmLattice(ideal, [
-            (m, frozenset(i for i, g in enumerate(ideal.gens, start=1) if g.divides(m)))
-            for m in mdegs.values()
+            (Monomial(m), frozenset(i for i, g in enumerate(gens, start=1) if all(map(le, g, m))))
+            for m in mdegs
         ])
 
     @staticmethod

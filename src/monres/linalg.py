@@ -1,15 +1,23 @@
-"""Exact field arithmetic and the elimination kernels used everywhere else.
+"""Exact field arithmetic and the elimination kernel used everywhere else.
 
 Fields are the rationals (characteristic 0, :class:`fractions.Fraction`
 values) or a prime field GF(p) (values are ints in ``0..p-1``).  All
 elimination routines use one fixed pivoting order -- first nonzero entry
 scanning rows top-down, columns left-right -- so every basis produced
 downstream is reproducible run to run.
+
+Elimination runs on sparse rows (the nonzero entries as ``{column: int}``)
+with one of two inner loops: GF(p) reduces each product ``% p``; QQ works
+fraction-free on primitive integer rows and forms Fractions only when it
+divides the pivot rows by their pivots at the end.  The reduced row
+echelon form of a matrix is unique, so R, the pivots and everything read
+from them equal what the dense textbook loop gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _is_prime(p: int) -> bool:
@@ -33,6 +41,9 @@ class Field:
             if characteristic >= 2**31 or not _is_prime(characteristic):
                 raise ValueError(f"characteristic must be 0 or a prime < 2^31, got {characteristic}")
         self.char = characteristic
+        # Fractions are immutable, so one shared value serves every read
+        self.zero = Fraction(0) if characteristic == 0 else 0
+        self.one = Fraction(1) if characteristic == 0 else 1
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -42,14 +53,6 @@ class Field:
 
     def __repr__(self):
         return "QQ" if self.char == 0 else f"GF({self.char})"
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
 
     def of(self, value):
         """Coerce an int, Fraction or 'a/b' string into the field."""
@@ -151,7 +154,7 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: [{body}])"
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
+        return self.submatrix(range(self.nrows), range(self.ncols))
 
     def column(self, j):
         return [self.rows[i][j] for i in range(self.nrows)]
@@ -160,8 +163,7 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for r in self.rows for x in r)
+        return not any(x for r in self.rows for x in r)
 
     def stack_columns(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
@@ -184,12 +186,12 @@ class Matrix:
             oi = out.rows[i]
             for k in range(self.ncols):
                 a = ri[k]
-                if a == f.zero:
+                if not a:
                     continue
                 rk = other.rows[k]
                 for j in range(other.ncols):
                     b = rk[j]
-                    if b != f.zero:
+                    if b:
                         oi[j] = f.add(oi[j], f.mul(a, b))
         return out
 
@@ -202,12 +204,83 @@ class Matrix:
             acc = f.zero
             ri = self.rows[i]
             for j, x in enumerate(v):
-                if x != f.zero and ri[j] != f.zero:
+                if x and ri[j]:
                     acc = f.add(acc, f.mul(ri[j], x))
             out[i] = acc
         return out
 
     # -- elimination -------------------------------------------------
+    def _echelon(self, reduced: bool):
+        """Sparse elimination in the dense scan order: ``(rows, pivots)``.
+
+        Rows are ``{column: int}`` dicts of the nonzero entries, reduced mod
+        p, or in QQ scaled to primitive integer rows.  Per column, the first
+        row at or below the pivot row with a nonzero entry there is swapped
+        up and cleared out of every row below it, and with `reduced` out of
+        every row above too.  ``rows[r]`` ends as the pivot row of
+        ``pivots[r]``, with pivot 1 in GF(p) and a positive pivot in QQ.
+        """
+        p = self.field.char
+        rows = []
+        for r in self.rows:
+            if p:
+                rows.append({j: x % p for j, x in enumerate(r) if x % p})
+                continue
+            nz = [(j, x.as_integer_ratio()) for j, x in enumerate(r) if x]
+            d = lcm(*(q for _, (_, q) in nz))
+            row = {j: a * (d // q) for j, (a, q) in nz}
+            g = gcd(*row.values())
+            rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
+        pivots = []
+        for pc in range(self.ncols):
+            pr = len(pivots)
+            for i in range(pr, len(rows)):
+                if pc in rows[i]:
+                    break
+            else:
+                continue
+            rows[pr], rows[i] = rows[i], rows[pr]
+            prow = rows[pr]
+            a = prow[pc]
+            if p and a != 1:
+                inv = pow(a, -1, p)
+                for c in prow:
+                    prow[c] = prow[c] * inv % p
+            elif a < 0:
+                for c in prow:
+                    prow[c] = -prow[c]
+            a = prow[pc]
+            items = list(prow.items())
+            for i in range(0 if reduced else pr + 1, len(rows)):
+                row = rows[i]
+                b = row.get(pc)
+                if b is None or i == pr:
+                    continue
+                if p:
+                    for c, y in items:
+                        v = (row.get(c, 0) - b * y) % p
+                        if v:
+                            row[c] = v
+                        else:
+                            del row[c]
+                    continue
+                g = gcd(a, b)
+                a1, b1 = a // g, b // g
+                if a1 != 1:
+                    for c in row:
+                        row[c] *= a1
+                for c, y in items:
+                    v = row.get(c, 0) - b1 * y
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+                g = gcd(*row.values())
+                if g > 1:
+                    rows[i] = {c: v // g for c, v in row.items()}
+            pivots.append(pc)
+        return rows, pivots
+
     def rref(self):
         """Reduced row echelon form.
 
@@ -215,33 +288,17 @@ class Matrix:
         increasing list of pivot columns.
         """
         f = self.field
-        R = self.copy()
-        pivots = []
-        pr = 0
-        for pc in range(R.ncols):
-            # first nonzero entry scanning rows top-down
-            pivot_row = None
-            for i in range(pr, R.nrows):
-                if R.rows[i][pc] != f.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            R.rows[pr], R.rows[pivot_row] = R.rows[pivot_row], R.rows[pr]
-            inv = f.inv(R.rows[pr][pc])
-            R.rows[pr] = [f.mul(inv, x) for x in R.rows[pr]]
-            for i in range(R.nrows):
-                if i != pr and R.rows[i][pc] != f.zero:
-                    c = R.rows[i][pc]
-                    R.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(R.rows[i], R.rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == R.nrows:
-                break
+        rows, pivots = self._echelon(reduced=True)
+        R = Matrix.zero(f, self.nrows, self.ncols)
+        for r, pc in enumerate(pivots):
+            a = rows[r][pc]
+            for c, v in rows[r].items():
+                R.rows[r][c] = v if f.char else Fraction(v, a)
         return R, pivots, len(pivots)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        """The number of pivots of forward elimination alone."""
+        return len(self._echelon(reduced=False)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns span Ker(self): the canonical echelon kernel basis.
@@ -258,7 +315,9 @@ class Matrix:
             v = [f.zero] * self.ncols
             v[fc] = f.one
             for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.rows[r][fc])
+                x = R.rows[r][fc]
+                if x:
+                    v[pc] = f.neg(x)
             cols.append(v)
         return Matrix.from_columns(f, self.ncols, cols)
 
@@ -293,9 +352,10 @@ class Matrix:
 def column_space_basis(m: Matrix):
     """The pivot primitive: indices of the columns not in the span of the columns before them.
 
-    These are the pivot columns of ``m.rref()``.  A column raises the rank
-    of the columns before it exactly when it is a pivot, so this is the
-    greedy left-to-right independent subset in one elimination; every
-    choice of independent columns in the package goes through it.
+    These are the pivot columns of ``m.rref()``, which forward elimination
+    alone already finds.  A column raises the rank of the columns before it
+    exactly when it is a pivot, so this is the greedy left-to-right
+    independent subset in one elimination; every choice of independent
+    columns in the package goes through it.
     """
-    return m.rref()[1]
+    return m._echelon(reduced=False)[1]

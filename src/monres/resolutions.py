@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
+from operator import le
 
 from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
@@ -107,7 +108,9 @@ class MultigradedComplex:
 
     def restrict_to(self, m: Monomial) -> BasedComplex:
         """Frame of F(<= m): basis elements of multidegree dividing m."""
-        keep = [[j for j, e in enumerate(lv) if e.mdeg.divides(m)] for lv in self.levels]
+        bound = m.exponents
+        keep = [[j for j, e in enumerate(lv) if all(map(le, e.mdeg.exponents, bound))]
+                for lv in self.levels]
         top = len(self.levels) - 1
         while top > 0 and not keep[top]:
             top -= 1

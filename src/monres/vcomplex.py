@@ -19,7 +19,9 @@ class BasedComplex:
     """Levels of labelled basis vectors joined by boundary matrices.
 
     ``maps[i]`` sends level i to level i-1 and has shape
-    ``(len(labels[i-1]), len(labels[i]))``; ``maps[0]`` is None.
+    ``(len(labels[i-1]), len(labels[i]))``; ``maps[0]`` is None.  Maps
+    are immutable by convention, so each one's rank is computed at most
+    once, on first use, and homology dimensions are read from the ranks.
     """
 
     def __init__(self, field: Field, labels, maps):
@@ -33,6 +35,7 @@ class BasedComplex:
             if m.nrows != len(self.labels[i - 1]) or m.ncols != len(self.labels[i]):
                 raise ValueError(f"map {i} has shape {m.nrows}x{m.ncols}, "
                                  f"want {len(self.labels[i - 1])}x{len(self.labels[i])}")
+        self._ranks: dict = {}
 
     @property
     def length(self) -> int:
@@ -58,25 +61,36 @@ class BasedComplex:
                 return False
         return True
 
+    def rank(self, i: int) -> int:
+        """Rank of d_i (0 off the ends), computed once per complex."""
+        if not 1 <= i <= self.length:
+            return 0
+        if i not in self._ranks:
+            self._ranks[i] = self.maps[i].rank()
+        return self._ranks[i]
+
+    def homology_dim(self, i: int) -> int:
+        """dim Ker d_i - rank d_{i+1}, by rank-nullity."""
+        return self.level_dim(i) - self.rank(i) - self.rank(i + 1)
+
     def homology(self, i: int):
         """(dimension, canonical cycle representatives) at level i.
 
         Representatives are coordinate vectors in level i: the kernel
         basis vectors of d_i that are pivots of ``[image of d_{i+1} | kernel]``,
-        i.e. the echelon completion of the image to a kernel basis.
+        i.e. the echelon completion of the image to a kernel basis.  They
+        are built only where the dimension is nonzero.
         """
-        f = self.field
-        dim_i = self.level_dim(i)
-        if dim_i == 0:
+        mu = self.homology_dim(i)
+        if mu == 0:
             return 0, []
-        K = Matrix.identity(f, dim_i) if i == 0 else self.differential(i).kernel_basis()
+        K = Matrix.identity(self.field, self.level_dim(i)) if i == 0 else self.maps[i].kernel_basis()
         d_up = self.differential(i + 1)
         pivots = column_space_basis(d_up.stack_columns(K))
-        reps = [K.column(p - d_up.ncols) for p in pivots if p >= d_up.ncols]
-        return K.ncols - (len(pivots) - len(reps)), reps
+        return mu, [K.column(p - d_up.ncols) for p in pivots if p >= d_up.ncols]
 
     def is_exact(self) -> bool:
-        return all(self.homology(i)[0] == 0 for i in range(self.length + 1))
+        return all(self.homology_dim(i) == 0 for i in range(self.length + 1))
 
 
 def exact_closure(U: BasedComplex):
@@ -153,30 +167,8 @@ def is_exact_closure_of(V: BasedComplex, U: BasedComplex) -> bool:
                     raise ValueError("U is not closed under the ambient differential")
     if not V.is_exact():
         return False
-    for i in range(V.length + 1):
-        dV = V.differential(i)
-        kv = Matrix.identity(f, V.level_dim(i)) if i == 0 else dV.kernel_basis()
-        dim_u = U.level_dim(i)
-        if i == 0:
-            ku_cols = Matrix.identity(f, dim_u).columns() if dim_u else []
-        else:
-            ku_cols = U.differential(i).kernel_basis().columns() if dim_u else []
-        # embed U-kernel vectors into V coordinates
-        embedded = []
-        for col in ku_cols:
-            v = [f.zero] * V.level_dim(i)
-            for val, j in zip(col, positions[i] if i <= U.length else []):
-                v[j] = val
-            embedded.append(v)
-        if kv.ncols != len(embedded):
-            return False
-        if embedded:
-            both = Matrix.from_columns(f, V.level_dim(i), embedded).stack_columns(kv)
-            if any(p >= len(embedded) for p in column_space_basis(both)):
-                return False
-        elif kv.ncols:
-            return False
-    return True
+    # U's kernels embed in V's, so they are equal exactly where their dimensions are
+    return all(V.level_dim(i) - V.rank(i) == U.level_dim(i) - U.rank(i) for i in range(V.length + 1))
 
 
 # -- simplicial complexes --------------------------------------------
@@ -239,9 +231,7 @@ def reduced_homology(cx: BasedComplex):
 
 def reduced_homology_dims(cx: BasedComplex):
     """Of a face-labelled complex: dict d -> dim_k H~_d, from the ranks of its maps alone."""
-    ranks = [0] + [cx.maps[h].rank() for h in range(1, cx.length + 1)] + [0]
-    dims = {level - 1: cx.level_dim(level) - ranks[level] - ranks[level + 1]
-            for level in range(cx.length + 1)}
+    dims = {level - 1: cx.homology_dim(level) for level in range(cx.length + 1)}
     return {d: n for d, n in dims.items() if n}
 
 

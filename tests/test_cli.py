@@ -147,6 +147,13 @@ def test_random_rejects_empty_grids(capsys, argv):
     assert err.startswith("error: could not build an antichain") and "at least 1" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_random_rejects_empty_count(capsys, count):
+    assert main(["random", "--r", "2", "--n", "2", "--count", count]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --count must be at least 1, got {count}\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars x; gens y*z")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import monres.lattice as lattice_module
 from monres.classify import classify
 from monres.lattice import LcmLattice
-from monres.linalg import Field
+from monres.linalg import Field, Matrix
 from monres.monomials import Monomial, parse_ideal_text, random_minimal_ideal
 from monres.vcomplex import complex_of_facets, reduced_homology
 
@@ -413,3 +413,23 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
     for m in betti:
         assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
     assert delta[len(small):] == betti and len(reduced) == len(lat) - 1 + len(betti)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("make", [lambda lats: lats["hexagon"].ideal,
+                                  lambda lats: random_minimal_ideal(9, 3, 3, random.Random(6))],
+                         ids=["hexagon", "r9n3"])
+def test_homology_at_builds_kernels_only_where_homology_lives(lattices, monkeypatch, make, char):
+    # a fresh lattice: the session fixtures may already hold cached homology
+    lat, field = LcmLattice.from_ideal(make(lattices)), Field(char)
+    kernels = []
+
+    def counting(self):
+        kernels.append(self)
+        return kernel_basis(self)
+
+    kernel_basis = Matrix.kernel_basis
+    monkeypatch.setattr(Matrix, "kernel_basis", counting)
+    homs = [lat.homology_at(e.id, field) for e in lat.elements if e.id != lat.bottom]
+    # H~_d sits at level d + 1 of Delta_m; level 0 (d = -1) needs no kernel
+    assert len(kernels) == sum(1 for hom in homs for d in hom if d >= 0) > 0

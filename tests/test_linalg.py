@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,3 +165,89 @@ def test_column_space_basis_matches_greedy_reference(char, data):
     rows = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
     a = Matrix(field, [[field.of(x) for x in row] for row in rows])
     assert column_space_basis(a) == ref_column_space_basis(a)
+
+
+# -- differential check of the sparse kernel against the dense loop -----
+
+
+def ref_rref(self):
+    """The dense reduced row echelon form: every entry visited, zeros included."""
+    f = self.field
+    R = self.copy()
+    pivots = []
+    pr = 0
+    for pc in range(R.ncols):
+        pivot_row = None
+        for i in range(pr, R.nrows):
+            if R.rows[i][pc] != f.zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        R.rows[pr], R.rows[pivot_row] = R.rows[pivot_row], R.rows[pr]
+        inv = f.inv(R.rows[pr][pc])
+        R.rows[pr] = [f.mul(inv, x) for x in R.rows[pr]]
+        for i in range(R.nrows):
+            if i != pr and R.rows[i][pc] != f.zero:
+                c = R.rows[i][pc]
+                R.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(R.rows[i], R.rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == R.nrows:
+            break
+    return R, pivots, len(pivots)
+
+
+def typed(m):
+    return [[(type(x), x) for x in row] for row in m.rows]
+
+
+def read_from_rref(a, b):
+    """Everything read from `a.rref()`, with right-hand side `b`."""
+    R, pivots, rank = a.rref()
+    try:
+        inv = typed(a.inverse())
+    except ValueError as e:
+        inv = str(e)
+    return ((R.nrows, R.ncols), typed(R), pivots, rank, typed(a.kernel_basis()), a.solve(b),
+            a.solve(a.mul_vector([a.field.one] * a.ncols)), inv)
+
+
+@st.composite
+def field_matrices(draw):
+    field = Field(draw(st.sampled_from([0, 2, 3, 32003])))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    if field.char == 0:
+        value = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=4))
+    else:
+        value = st.one_of(st.just(0), st.integers(-5, 5))
+    rows = draw(st.lists(st.lists(value, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    a = (Matrix(field, [[field.of(x) for x in row] for row in rows]) if nrows
+         else Matrix.zero(field, 0, ncols))
+    b = [field.of(x) for x in draw(st.lists(value, min_size=nrows, max_size=nrows))]
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(ab=field_matrices())
+def test_sparse_kernel_matches_dense_reference(ab):
+    a, b = ab
+    got = read_from_rref(a, b)
+    with patch.object(Matrix, "rref", ref_rref):
+        want = read_from_rref(a, b)
+    assert got == want
+    # forward elimination alone
+    _, pivots, rank = ref_rref(a)
+    assert (column_space_basis(a), a.rank()) == (pivots, rank)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+def test_empty_shapes(char, shape):
+    field = Field(char)
+    a = Matrix.zero(field, *shape)
+    R, pivots, rank = a.rref()
+    assert (R.nrows, R.ncols, pivots, rank, a.rank()) == (*shape, [], 0, 0)
+    assert typed(a.kernel_basis()) == typed(Matrix.identity(field, shape[1]))
+    assert a.solve([field.zero] * shape[0]) == [field.zero] * shape[1]

@@ -768,3 +768,26 @@ def test_minimize_builds_one_matrix_per_level(monkeypatch):
     ref_count, D = matrices_built(ref_minimize_resolution)
     assert C.rank_vector() == D.rank_vector() != T.rank_vector()
     assert count <= len(T.levels) < ref_count
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("name", ["hexagon", "stable7", "wide6"])
+def test_verify_reads_exactness_from_ranks(lattices, monkeypatch, name, char):
+    # restricted exactness needs no echelon form and no kernel basis: each
+    # map of each restricted frame is ranked once, by forward elimination
+    lat, field = lattices[name], Field(char)
+    _, C = atomic_lattice_resolution(lat, field)
+    maps = sum(C.restrict_to(e.mdeg).length for e in lat.elements if e.id != lat.bottom)
+    calls = {"rref": 0, "kernel_basis": 0, "rank": 0}
+
+    def counting(attr, method):
+        def wrapped(self):
+            calls[attr] += 1
+            return method(self)
+        return wrapped
+
+    for attr in calls:
+        monkeypatch.setattr(Matrix, attr, counting(attr, getattr(Matrix, attr)))
+    report = verify_resolution(C, lat)
+    assert report.is_resolution and report.is_minimal
+    assert calls == {"rref": 0, "kernel_basis": 0, "rank": maps}

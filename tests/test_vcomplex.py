@@ -5,9 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
+from monres.resolutions import atomic_lattice_resolution
 from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure,
                              is_exact_closure_of, reduced_homology, reduced_homology_dims)
+
+from conftest import random_based_complex, random_corpus
 
 
 QQ = Field(0)
@@ -154,3 +158,79 @@ def test_homology_matches_greedy_reference(char, facets):
 def test_homology_dims_from_ranks(char, facets):
     cx = complex_of_facets(Field(char), facets)
     assert reduced_homology_dims(cx) == {d: n for d, (n, _) in reduced_homology(cx).items()}
+
+
+# -- the rank route against homology computed without it -------------------
+
+
+def truncated(cx):
+    """cx without its top level: homology appears where the top map was nonzero."""
+    return BasedComplex(cx.field, cx.labels[:-1], cx.maps[:-1])
+
+
+def assert_rank_route_matches_reference(cx):
+    assert cx.is_exact() == all(ref_homology(cx, i)[0] == 0 for i in range(cx.length + 1))
+    for i in range(cx.length + 2):
+        assert cx.homology(i) == ref_homology(cx, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(char=st.sampled_from([0, 2, 3, 32003]),
+       facets=st.lists(st.frozensets(st.integers(1, 6), max_size=4), min_size=1, max_size=6))
+def test_rank_route_matches_reference_on_facet_lists(char, facets):
+    cx = complex_of_facets(Field(char), facets)
+    assert_rank_route_matches_reference(cx)
+    if cx.length:
+        assert_rank_route_matches_reference(truncated(cx))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_rank_route_matches_reference_on_restricted_frames(lattices, char):
+    field = Field(char)
+    seen_homology = False
+    names = ("triangle", "four_gens", "rigid4", "hexagon", "cone3", "stable7", "fan5")
+    for lat in [lattices[n] for n in names] + [LcmLattice.from_ideal(i) for i in random_corpus(6)]:
+        _, C = atomic_lattice_resolution(lat, field)
+        for e in lat.elements:
+            if e.id == lat.bottom:
+                continue
+            frame = C.restrict_to(e.mdeg)
+            assert frame.is_exact()
+            assert_rank_route_matches_reference(frame)
+            sub = truncated(frame)
+            assert_rank_route_matches_reference(sub)
+            seen_homology |= not sub.is_exact()
+    assert seen_homology
+
+
+def ref_is_exact_closure_of(V, U):
+    """V exact, and U's kernel vectors, placed in V's coordinates, span V's kernel at each level."""
+    f = V.field
+    if not all(ref_homology(V, i)[0] == 0 for i in range(V.length + 1)):
+        return False
+    for i in range(V.length + 1):
+        kv = Matrix.identity(f, V.level_dim(i)) if i == 0 else V.differential(i).kernel_basis()
+        ku = Matrix.identity(f, U.level_dim(i)) if i == 0 else U.differential(i).kernel_basis()
+        embedded = []
+        for col in ku.columns():
+            v = [f.zero] * V.level_dim(i)
+            for val, lbl in zip(col, U.labels[i]):
+                v[V.labels[i].index(lbl)] = val
+            embedded.append(v)
+        both = Matrix.from_columns(f, V.level_dim(i), embedded + kv.columns())
+        if len(embedded) != kv.ncols or both.rank() != kv.ncols:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_is_exact_closure_of_matches_kernel_reference(char):
+    verdicts = set()
+    for seed in range(40):
+        U = random_based_complex(random.Random(seed), Field(char))
+        V, _ = exact_closure(U)
+        for big, small in [(V, U), (V, truncated(U)), (U, U), (U, truncated(U))]:
+            verdict = is_exact_closure_of(big, small)
+            assert verdict == ref_is_exact_closure_of(big, small)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
