@@ -150,16 +150,6 @@ def initial_part(ideal, c: Chain) -> Chain:
     return Chain(c.field, keep, dim=c.dim)
 
 
-def is_taylor_chain_at(lattice, c: Chain, m_id: int) -> bool:
-    """True iff some face has closure equal to the closure of supp(c), both = A_m."""
-    if c.is_zero():
-        raise ValueError("zero chain")
-    target = lattice.element(m_id).A
-    if lattice.closure(support(c)) != target:
-        return False
-    return any(lattice.closure(fc) == target for fc in c.terms)
-
-
 # -- text format -----------------------------------------------------
 #
 # `1245-1456+1234` (unit coefficients implicit); an explicit coefficient

@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from monres.chains import Chain, format_chain, parse_chain
+from monres.chains import format_face, parse_chain
 from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field
@@ -69,10 +69,6 @@ def _field(args, char) -> Field:
 
 def _print(text):
     sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
-
-
-def _facet_key(f):
-    return (len(f), f)
 
 
 def cmd_lattice(args):
@@ -270,8 +266,7 @@ def cmd_scarf(args):
     if args.json:
         _print(json.dumps({"faces": [list(f) for f in faces]}))
     else:
-        _print(" ".join("{}" if not f else format_chain(Chain.from_face(Field(0), f))
-                        for f in sorted(faces, key=_facet_key)))
+        _print(" ".join(format_face(f) for f in faces))
     return EXIT_OK
 
 

@@ -56,10 +56,10 @@ class Field:
 
     def of(self, value):
         """Coerce an int, Fraction or 'a/b' string into the field."""
-        if isinstance(value, str):
-            value = Fraction(value)
         if self.char == 0:
             return Fraction(value)
+        if isinstance(value, str):
+            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.char == 0:
                 raise ZeroDivisionError("denominator not invertible mod p")

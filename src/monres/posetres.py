@@ -24,8 +24,8 @@ from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.resolutions import (MgBasisElement, MultigradedComplex, TaylorBasis,
                                 VerificationReport, verify_resolution)
-from monres.vcomplex import (class_in_homology, complex_of_facets, faces_of, prune_facets,
-                             reduced_homology, reduced_homology_dims)
+from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, prune_facets,
+                             reduced_homology)
 
 
 # -- homology bases ----------------------------------------------------
@@ -112,13 +112,11 @@ def mv_connecting(field: Field, facets1, facets2, f: Chain) -> Chain:
     to it); the remaining faces must lie in the second complex.  The
     returned chain is boundary(c1), a cycle in the intersection.
     """
-    faces1 = faces_of(facets1)
-    faces2 = faces_of(facets2)
     c1_terms = {}
     for fc, coeff in f.terms.items():
-        if fc in faces1:
+        if in_complex(fc, facets1):
             c1_terms[fc] = coeff
-        elif fc not in faces2:
+        elif not in_complex(fc, facets2):
             raise ValueError(f"face {fc} lies in neither complex")
     c1 = Chain(field, c1_terms, dim=f.dim)
     if c1.is_zero():
@@ -126,19 +124,10 @@ def mv_connecting(field: Field, facets1, facets2, f: Chain) -> Chain:
     return boundary(c1)
 
 
-def intersection_facets(facets1, facets2):
-    out = []
-    for a in facets1:
-        for b in facets2:
-            out.append(tuple(sorted(set(a) & set(b))))
-    return tuple(prune_facets(out))
-
-
 def sigma_map(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: Chain,
               hb: "HomologyBasis"):
     """Inclusion-induced class of a subcomplex cycle, in the fixed basis at m."""
-    sub_faces = faces_of(sub_facets)
-    if any(fc not in sub_faces for fc in cycle.terms):
+    if not all(in_complex(fc, sub_facets) for fc in cycle.terms):
         raise ValueError("cycle does not lie in the subcomplex")
     return hb.class_coords(m_id, cycle)
 
@@ -155,8 +144,7 @@ def sigma_preimage(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: 
     faces = cx.labels[level] if level <= cx.length else []
     if not set(cycle.terms) <= set(faces):
         raise ValueError("cycle leaves the complex at m")
-    sub_faces = faces_of(sub_facets)
-    outside = [i for i, fc in enumerate(faces) if fc not in sub_faces]
+    outside = [i for i, fc in enumerate(faces) if not in_complex(fc, sub_facets)]
     w_mat = cx.differential(level + 1)
     sol = [field.zero] * w_mat.ncols
     if outside:
@@ -168,11 +156,6 @@ def sigma_preimage(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: 
     for fc, v in zip(faces, w_mat.mul_vector(sol)):
         terms[fc] = field.add(terms.get(fc, field.zero), v)
     return Chain(field, terms, dim=cycle.dim)
-
-
-def sigma_dims(lat: LcmLattice, field: Field, m_id: int, sub_facets):
-    """(dims of homology of the subcomplex, dims of homology of Delta_m)."""
-    return reduced_homology_dims(complex_of_facets(field, sub_facets)), lat.homology_dims_at(m_id, field)
 
 
 # -- symbolic polynomials for the preimage parameters ---------------------

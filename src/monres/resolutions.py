@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 from operator import le
 
 from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
-from monres.vcomplex import BasedComplex, class_in_homology
+from monres.vcomplex import BasedComplex, class_in_homology, complex_of_facets
 
 
 @dataclass
@@ -263,29 +262,21 @@ class TaylorBasis:
 
 
 def taylor_resolution(ideal: MonomialIdeal, field: Field) -> MultigradedComplex:
-    """The Taylor complex: one basis element per subset of the generators.
+    """The Taylor complex: the chain complex of the full simplex on the generators.
 
-    mdeg(A) = lcm(mdeg(A minus max A), m_max A); column A has (-1)^k at A minus its k-th vertex.
+    mdeg(A) = lcm(mdeg(A minus max A), m_max A); the frames are the simplex's boundary maps.
     """
     if ideal.r > 20:
         raise ValueError("Taylor resolution limited to 20 generators (2^r basis)")
+    cx = complex_of_facets(field, [range(1, ideal.r + 1)])
     levels = [[MgBasisElement(Chain.from_face(field, ()), ideal.one(), 0)]]
-    frames: list = [None]
-    signs = (field.one, field.neg(field.one))
-    faces = [()]
     for size in range(1, ideal.r + 1):
-        index = {A: j for j, A in enumerate(faces)}
-        faces = list(combinations(range(1, ideal.r + 1), size))
-        fr = Matrix.zero(field, len(index), len(faces))
-        lv = []
-        for j, A in enumerate(faces):
-            m = levels[-1][index[A[:-1]]].mdeg.lcm(ideal.generator(A[-1]))
-            lv.append(MgBasisElement(Chain.from_face(field, A), m, size))
-            for k in range(size):
-                fr.rows[index[A[:k] + A[k + 1:]]][j] = signs[k % 2]
-        levels.append(lv)
-        frames.append(fr)
-    return MultigradedComplex(ideal, field, levels, frames)
+        index = {A: j for j, A in enumerate(cx.labels[size - 1])}
+        below = levels[-1]
+        levels.append([MgBasisElement(Chain.from_face(field, A),
+                                      below[index[A[:-1]]].mdeg.lcm(ideal.generator(A[-1])), size)
+                       for A in cx.labels[size]])
+    return MultigradedComplex(ideal, field, levels, cx.maps)
 
 
 # -- consecutive cancellation -------------------------------------------

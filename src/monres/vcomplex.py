@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from monres.chains import Chain, boundary
+from monres.chains import Chain, face
 from monres.linalg import Field, Matrix, column_space_basis
 
 
@@ -174,14 +174,12 @@ def is_exact_closure_of(V: BasedComplex, U: BasedComplex) -> bool:
 # -- simplicial complexes --------------------------------------------
 
 
-def faces_of(facets):
-    """All faces of the complex generated by `facets`, including the empty face."""
-    out = {()}
-    for fac in facets:
-        fac = tuple(sorted(fac))
-        for k in range(1, len(fac) + 1):
-            out.update(combinations(fac, k))
-    return out
+def in_complex(face, facets) -> bool:
+    """Whether a face lies in the complex generated by `facets`: inside some facet.
+
+    The empty face lies in every complex, also in one with no facets.
+    """
+    return not face or any(set(face).issubset(f) for f in facets)
 
 
 def prune_facets(facets):
@@ -198,23 +196,23 @@ def complex_of_facets(field: Field, facets) -> BasedComplex:
     """The augmented chain complex of the simplicial complex with these facets.
 
     Level h holds the faces of cardinality h (dimension h-1), sorted
-    lexicographically; level 0 is the empty face.  Reduced homology
+    lexicographically; level 0 is the empty face.  Column f of map h has
+    (-1)^k in the row of f minus its k-th vertex.  Reduced homology
     H~_d of the complex is the homology of this object at level d+1.
     """
-    all_faces = faces_of(facets)
-    top = max(len(f) for f in all_faces)
-    labels = [sorted(f for f in all_faces if len(f) == h) for h in range(top + 1)]
+    facets = [face(f) for f in facets]
+    top = max(map(len, facets), default=0)
+    labels = [[()]] + [sorted({c for f in facets for c in combinations(f, h)})
+                       for h in range(1, top + 1)]
+    signs = (field.one, field.neg(field.one))
     maps: list = [None]
     for h in range(1, top + 1):
-        index = {f: i for i, f in enumerate(labels[h - 1])}
-        cols = []
-        for f in labels[h]:
-            col = [field.zero] * len(labels[h - 1])
-            b = boundary(Chain.from_face(field, f))
-            for sub, coeff in b.terms.items():
-                col[index[sub]] = coeff
-            cols.append(col)
-        maps.append(Matrix.from_columns(field, len(labels[h - 1]), cols))
+        row = {f: i for i, f in enumerate(labels[h - 1])}
+        d = Matrix.zero(field, len(labels[h - 1]), len(labels[h]))
+        for j, f in enumerate(labels[h]):
+            for k in range(h):
+                d.rows[row[f[:k] + f[k + 1:]]][j] = signs[k % 2]
+        maps.append(d)
     return BasedComplex(field, labels, maps)
 
 

@@ -115,6 +115,18 @@ def random_based_complex(rng, field=None, max_len=3, max_dim=8):
     return BasedComplex(field, labels, maps)
 
 
+def is_taylor_chain_at(lattice, c, m_id: int) -> bool:
+    """True iff some face has closure equal to the closure of supp(c), both = A_m."""
+    from monres.chains import support
+
+    if c.is_zero():
+        raise ValueError("zero chain")
+    target = lattice.element(m_id).A
+    if lattice.closure(support(c)) != target:
+        return False
+    return any(lattice.closure(fc) == target for fc in c.terms)
+
+
 ACCEPTANCE_CRITERIA = {
     1: "golden Betti tables agree via homology and Taylor minimization",
     2: "atomic lattice resolutions verify, are minimal, and match the tables",

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from monres.chains import (Chain, boundary, format_chain, initial_part,
-                           is_taylor_chain_at, mdeg_chain, parse_chain, support)
+from monres.chains import (Chain, boundary, format_chain, initial_part, mdeg_chain,
+                           parse_chain, support)
 from monres.lattice import LcmLattice
 from monres.linalg import Field
 from monres.monomials import parse_ideal_text, parse_monomial
+
+from conftest import is_taylor_chain_at
 
 
 QQ = Field(0)

@@ -3,18 +3,20 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.chains import Chain, boundary, parse_chain
 from monres.linalg import Field, Matrix
 from monres.posetres import (HomologyBasis, SymbolicRlm, certified_constant_rank,
-                             extract_basis_and_preimages, intersection_facets,
-                             mv_connecting, poset_construction, reduced_subcomplex,
-                             rlm_construction, rlm_symbolic,
-                             sigma_dims, sigma_preimage, Poly)
+                             extract_basis_and_preimages, mv_connecting,
+                             poset_construction, reduced_subcomplex, rlm_construction,
+                             rlm_symbolic, sigma_map, sigma_preimage, Poly)
 from monres.resolutions import atomic_lattice_resolution, maximal_approximation
-from monres.vcomplex import class_in_homology, complex_of_facets
+from monres.vcomplex import (class_in_homology, complex_of_facets, prune_facets,
+                             reduced_homology, reduced_homology_dims)
 
 from conftest import IDEALS, LATTICES, random_corpus
+from test_vcomplex import facet_lists, ref_faces_of
 
 
 QQ = Field(0)
@@ -30,6 +32,15 @@ def rows(m):
 
 def q(*vals):
     return [QQ.of(v) for v in vals]
+
+
+def sigma_dims(lat, field, m_id, sub_facets):
+    """(dims of homology of the subcomplex, dims of homology of Delta_m)."""
+    return reduced_homology_dims(complex_of_facets(field, sub_facets)), lat.homology_dims_at(m_id, field)
+
+
+def intersection_facets(facets1, facets2):
+    return tuple(prune_facets(tuple(sorted(set(a) & set(b))) for a in facets1 for b in facets2))
 
 
 # -- subcomplexes -------------------------------------------------------
@@ -113,7 +124,7 @@ def test_mv_connecting_hand_split():
 
 def test_mv_connecting_entirely_inside():
     f = ch("12")
-    assert mv_connecting(QQ, [(1, 2)], [(3,)], boundary(f)).is_zero() or True
+    assert mv_connecting(QQ, [(1, 2)], [(3,)], boundary(f)).is_zero()
     out = mv_connecting(QQ, [(1, 2)], [(3,)], ch("-1+2"))
     # f = c1 entirely in the first complex: delta is d(c1) = d(f) = 0
     assert out.is_zero()
@@ -131,6 +142,63 @@ def test_mv_connecting_rejects_stray_faces():
         mv_connecting(QQ, [(1, 2)], [(2, 3)], ch("14"))
 
 
+def test_mv_connecting_empty_face():
+    # the empty face lies in every complex, even one with no facets, so it
+    # always lands in c1, whose boundary is undefined
+    for facets1, facets2 in (([(1, 2)], [(3,)]), ([], [(3,)]), ([], [])):
+        with pytest.raises(ValueError, match="undefined"):
+            mv_connecting(QQ, facets1, facets2, Chain.from_face(QQ, ()))
+
+
+def test_sigma_map_empty_face_in_subcomplex_with_no_facets(lattices):
+    lat = lattices["cone3b"]
+    hb = HomologyBasis.canonical(lat, QQ)
+    assert sigma_map(lat, QQ, lat.top, (), Chain.from_face(QQ, ()), hb) == []
+    with pytest.raises(ValueError, match="subcomplex"):
+        sigma_map(lat, QQ, lat.top, (), ch("1-2"), hb)
+
+
+def test_mv_connecting_with_no_facets():
+    # a complex with no facets still holds the empty face, and nothing else
+    assert mv_connecting(QQ, [], [(1, 2)], ch("12")).is_zero()
+    assert mv_connecting(QQ, [(1, 2)], [], ch("12")) == ch("2-1")
+    with pytest.raises(ValueError, match="neither complex"):
+        mv_connecting(QQ, [], [], ch("1"))
+
+
+def ref_mv_connecting(field, facets1, facets2, f):
+    """The split with both complexes' faces enumerated up front."""
+    faces1, faces2 = ref_faces_of(facets1), ref_faces_of(facets2)
+    c1_terms = {}
+    for fc, coeff in f.terms.items():
+        if fc in faces1:
+            c1_terms[fc] = coeff
+        elif fc not in faces2:
+            raise ValueError(f"face {fc} lies in neither complex")
+    c1 = Chain(field, c1_terms, dim=f.dim)
+    return Chain.zero(field, f.dim - 1) if c1.is_zero() else boundary(c1)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]), facets1=facet_lists(), facets2=facet_lists(),
+       data=st.data())
+def test_mv_connecting_matches_face_enumeration(char, facets1, facets2, data):
+    field = Field(char)
+    dim = data.draw(st.integers(0, 3))
+    pool = sorted(f for f in ref_faces_of(facets1 + facets2 + [(1, 2, 8, 9)]) if len(f) == dim + 1)
+    faces = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=5))
+    f = Chain(field, {fc: field.of(data.draw(st.integers(1, 5))) for fc in faces}, dim=dim)
+    assert (outcome(mv_connecting, field, facets1, facets2, f)
+            == outcome(ref_mv_connecting, field, facets1, facets2, f))
+
+
 def test_mv_tie_break_invariance():
     # moving a shared face across the split changes d(c1) by a boundary in
     # the intersection: the class there is unchanged
@@ -143,9 +211,7 @@ def test_mv_tie_break_invariance():
     c1_alt = Chain(QQ, {fc: co for fc, co in c1_terms.items() if fc != shared}, dim=1)
     out2 = boundary(c1_alt)
     inter = intersection_facets(delta1, delta2)
-    basis = []  # classes in the intersection: compare [out1] = [out2]
-    from monres.vcomplex import reduced_homology
-
+    # classes in the intersection: compare [out1] = [out2]
     hom = reduced_homology(complex_of_facets(QQ, inter))
     reps = hom[0][1]
     assert (class_in_homology(complex_of_facets(QQ, inter), out1, reps)

@@ -22,7 +22,7 @@ from monres.resolutions import (ChangeOfBasisError, MgBasisElement, MultigradedC
                                 taylor_basis_from_resolution, taylor_resolution,
                                 transport_via_betti_poset, verify_resolution)
 
-from conftest import LATTICES, random_corpus
+from conftest import LATTICES, is_taylor_chain_at, random_corpus
 
 
 QQ = Field(0)
@@ -66,6 +66,42 @@ def test_taylor_generator_cap():
     gens = [Monomial(tuple(2 if j == i else 0 for j in range(25))) for i in range(25)]
     with pytest.raises(ValueError):
         taylor_resolution(MonomialIdeal(names, gens), QQ)
+
+
+def ref_taylor_resolution(ideal, field):
+    """The Taylor complex with its own face order and sign loop."""
+    levels = [[MgBasisElement(Chain.from_face(field, ()), ideal.one(), 0)]]
+    frames = [None]
+    signs = (field.one, field.neg(field.one))
+    faces = [()]
+    for size in range(1, ideal.r + 1):
+        index = {A: j for j, A in enumerate(faces)}
+        faces = list(combinations(range(1, ideal.r + 1), size))
+        fr = Matrix.zero(field, len(index), len(faces))
+        lv = []
+        for j, A in enumerate(faces):
+            m = levels[-1][index[A[:-1]]].mdeg.lcm(ideal.generator(A[-1]))
+            lv.append(MgBasisElement(Chain.from_face(field, A), m, size))
+            for k in range(size):
+                fr.rows[index[A[:k] + A[k + 1:]]][j] = signs[k % 2]
+        levels.append(lv)
+        frames.append(fr)
+    return MultigradedComplex(ideal, field, levels, frames)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_taylor_matches_own_loop_reference(char):
+    field = Field(char)
+    rng = random.Random(char)
+    for r in range(1, 9):
+        ideal = random_minimal_ideal(r, 4, 3, rng)
+        T, ref = taylor_resolution(ideal, field), ref_taylor_resolution(ideal, field)
+        assert T.levels == ref.levels
+        assert T.frames[0] is None and len(T.frames) == len(ref.frames)
+        for got, want in zip(T.frames[1:], ref.frames[1:]):
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert ([[(x, type(x)) for x in row] for row in got.rows]
+                    == [[(x, type(x)) for x in row] for row in want.rows])
 
 
 # -- consecutive cancellation -------------------------------------------
@@ -139,8 +175,6 @@ def test_minimize_already_minimal(ideals, lattices):
 
 
 def test_minimize_basis_is_taylor_basis(ideals, lattices):
-    from monres.chains import is_taylor_chain_at
-
     lat = lattices["four_gens"]
     _, basis = minimize_resolution(taylor_resolution(ideals["four_gens"], QQ), lat)
     for m, c in basis.flat():

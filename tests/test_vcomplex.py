@@ -1,14 +1,16 @@
 """Based complexes: homology with representatives and exact closures."""
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from monres.chains import Chain, boundary
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.resolutions import atomic_lattice_resolution
-from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure,
+from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure, in_complex,
                              is_exact_closure_of, reduced_homology, reduced_homology_dims)
 
 from conftest import random_based_complex, random_corpus
@@ -234,3 +236,84 @@ def test_is_exact_closure_of_matches_kernel_reference(char):
             assert verdict == ref_is_exact_closure_of(big, small)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# -- the closed-form simplicial builder against the Chain/boundary one ------
+
+
+def ref_faces_of(facets):
+    """All faces of the complex generated by `facets`, including the empty face."""
+    out = {()}
+    for fac in facets:
+        fac = tuple(sorted(fac))
+        for k in range(1, len(fac) + 1):
+            out.update(combinations(fac, k))
+    return out
+
+
+def ref_complex_of_facets(field, facets):
+    """Every face through `ref_faces_of`, each column from `boundary` of its face."""
+    all_faces = ref_faces_of(facets)
+    top = max(len(f) for f in all_faces)
+    labels = [sorted(f for f in all_faces if len(f) == h) for h in range(top + 1)]
+    maps = [None]
+    for h in range(1, top + 1):
+        index = {f: i for i, f in enumerate(labels[h - 1])}
+        cols = []
+        for f in labels[h]:
+            col = [field.zero] * len(labels[h - 1])
+            b = boundary(Chain.from_face(field, f))
+            for sub, coeff in b.terms.items():
+                col[index[sub]] = coeff
+            cols.append(col)
+        maps.append(Matrix.from_columns(field, len(labels[h - 1]), cols))
+    return BasedComplex(field, labels, maps)
+
+
+@st.composite
+def facet_lists(draw):
+    """Unsorted facets, with an optional repeat (reordered) and an optional nested face."""
+    facets = draw(st.lists(st.lists(st.integers(1, 7), unique=True, max_size=5), max_size=4))
+    if facets and draw(st.booleans()):
+        facets.append(list(reversed(draw(st.sampled_from(facets)))))
+    if facets and draw(st.booleans()):
+        outer = draw(st.sampled_from(facets))
+        facets.append(draw(st.lists(st.sampled_from(outer), unique=True)) if outer else [])
+    return facets
+
+
+def typed_rows(m):
+    return [[(x, type(x)) for x in row] for row in m.rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]), facets=facet_lists())
+@example(char=0, facets=[])
+@example(char=2, facets=[()])
+@example(char=32003, facets=[(3, 1, 2), (2, 1), (1, 2, 3)])
+def test_complex_of_facets_matches_boundary_reference(char, facets):
+    field = Field(char)
+    cx = complex_of_facets(field, facets)
+    ref = ref_complex_of_facets(field, facets)
+    assert cx.labels == ref.labels
+    assert len(cx.maps) == len(ref.maps) and cx.maps[0] is None
+    for got, want in zip(cx.maps[1:], ref.maps[1:]):
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert typed_rows(got) == typed_rows(want)
+
+
+def test_complex_of_facets_rejects_repeated_vertices():
+    with pytest.raises(ValueError, match="repeated vertices"):
+        complex_of_facets(QQ, [(1, 2), (1, 1, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(facets=facet_lists(), face=st.sets(st.integers(1, 8), max_size=4))
+@example(facets=[], face=set())
+@example(facets=[()], face=set())
+@example(facets=[], face={1})
+def test_in_complex_matches_face_enumeration(facets, face):
+    all_faces = ref_faces_of(facets)
+    face = tuple(sorted(face))
+    assert in_complex(face, facets) == (face in all_faces)
+    assert all(in_complex(f, facets) for f in all_faces)
