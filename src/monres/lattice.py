@@ -189,9 +189,7 @@ class LcmLattice:
         if m_id == self.bottom:
             raise ValueError("no simplicial complex at the bottom element")
         e = self.elements[m_id]
-        if e.rank == 1:
-            return SimplicialComplexAt(m_id, ((),))
-        # maximal elements below m: their labels are an antichain, hence facets
+        # the covers' labels are an antichain, hence facets; an atom covers only the bottom, ()
         facets = sorted(tuple(sorted(self.elements[c].A)) for c in e.covers)
         return SimplicialComplexAt(m_id, tuple(facets))
 
@@ -231,38 +229,32 @@ class LcmLattice:
         return cache[m_id]
 
     def homology_dims_at(self, m_id: int, field: Field):
-        """dict dim -> dim_k H~_dim of Delta_m, read from the smaller of two models.
+        """dict dim -> dim_k H~_dim of Delta_m, read from the nerve N_m of its facets.
 
-        The upper Koszul complex K^m = {W in supp m : m / x^W in I} has the
-        same reduced homology dimensions as Delta_m: both give b_{dim+2,m}(S/I)
-        (Miller-Sturmfels, Thm 1.34).  Its faces lie in the simplices
-        {v : g_v < m_v} of the generators g dividing m, so it has at most
-        2^|supp m| faces against 2^|A_m|, and only its ranks are needed.
-        Where |A_m| <= |supp m| (always on the one-variable-per-element
-        ideals of `from_labels`), Delta_m is reduced instead and its
-        homology cached for `homology_at`, so it is never reduced twice.
+        N_m has the covers c of m as vertices and one facet {c : v in A_c}
+        for each generator v in A_m.  Every nonempty intersection of facets
+        of Delta_m is a simplex, so N_m is homotopy equivalent to Delta_m
+        (nerve theorem, Bjorner, "Topological methods", Thm 10.6) and has
+        the same reduced homology dimensions in every field.  Two covers
+        join to m, so each variable drops below m in at most one of them:
+        N_m has at most |supp m| vertices and needs no ideal.  At an atom
+        the one cover is the bottom, with empty label, so N_m = {()}.
         """
+        if m_id == self.bottom:
+            raise ValueError("no simplicial complex at the bottom element")
         cache = self._dims_cache.setdefault(field.char, {})
         if m_id not in cache:
             e = self.elements[m_id]
-            m = e.mdeg.exponents
-            if sum(1 for x in m if x) < len(e.A):
-                koszul = [tuple(v for v, (a, b) in enumerate(zip(self._exponents[i], m)) if a < b)
-                          for i in e.A]
-                cache[m_id] = reduced_homology_dims(complex_of_facets(field, koszul))
-            else:
-                hom = reduced_homology(self.complex_at(m_id, field))
-                self._homology_cache.setdefault(field.char, {})[m_id] = hom
-                cache[m_id] = {d: n for d, (n, _) in hom.items()}
+            nerve = [[c for c in e.covers if v in self.elements[c].A] for v in e.A]
+            cache[m_id] = reduced_homology_dims(complex_of_facets(field, nerve))
         return cache[m_id]
 
     def homology_at(self, m_id: int, field: Field):
         """dict dim -> (dim_k H~, representative Chains) for Delta_m; {} where it vanishes."""
         cache = self._homology_cache.setdefault(field.char, {})
-        if m_id not in cache and not self.homology_dims_at(m_id, field):
-            cache[m_id] = {}
         if m_id not in cache:
-            cache[m_id] = reduced_homology(self.complex_at(m_id, field))
+            dims = self.homology_dims_at(m_id, field)
+            cache[m_id] = reduced_homology(self.complex_at(m_id, field)) if dims else {}
         return cache[m_id]
 
     def betti_poset_ids(self, field: Field):

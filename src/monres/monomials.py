@@ -199,12 +199,17 @@ def parse_ideal_text(text: str, minimize: bool = False):
         if head == "vars":
             if names is not None:
                 raise IdealParseError("duplicate vars statement", lineno)
+            for k, name in enumerate(rest):
+                if name in rest[:k]:
+                    raise IdealParseError(f"duplicate variable {name!r}", lineno)
             names = rest
         elif head == "gens":
             if gen_tokens is not None:
                 raise IdealParseError("duplicate gens statement", lineno)
             gen_tokens = (lineno, rest)
         elif head == "char":
+            if char is not None:
+                raise IdealParseError("duplicate char statement", lineno)
             if len(rest) != 1 or not rest[0].isdigit():
                 raise IdealParseError("char expects one integer", lineno)
             char = int(rest[0])

@@ -160,6 +160,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert main(["lattice", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vars x y x; gens x*y y^2", "line 1: duplicate variable 'x'"),
+    ("vars x y; gens x y; char 2; char 3;", "line 1: duplicate char statement"),
+])
+def test_repeated_declaration_is_parse_error(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.ideal"
+    bad.write_text(text)
+    assert main(["betti", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: {message}\n"
+
+
 def test_precondition_exit_code(capsys, tmp_path):
     bad = tmp_path / "nonmin.ideal"
     bad.write_text("vars x y; gens x x*y")

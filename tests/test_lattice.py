@@ -12,6 +12,8 @@ from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import Monomial, parse_ideal_text, random_minimal_ideal
+from monres.resolutions import (atomic_lattice_resolution, minimize_resolution,
+                                taylor_resolution, verify_resolution)
 from monres.vcomplex import complex_of_facets, reduced_homology
 
 from conftest import LATTICES, random_corpus
@@ -68,25 +70,30 @@ def test_simplicial_complex_at(lattices):
     assert atom.facets == ((),)
     with pytest.raises(ValueError):
         hexagon.simplicial_complex_at(hexagon.bottom)
+    for at_bottom in (hexagon.homology_dims_at, hexagon.homology_at):
+        with pytest.raises(ValueError, match="^no simplicial complex at the bottom element$"):
+            at_bottom(hexagon.bottom, QQ)
 
 
 @pytest.mark.parametrize("name", ["hexagon", "wide6"])
 def test_complex_at_is_built_once_per_element(lattices, monkeypatch, name):
     # a fresh lattice: the session fixtures may already hold cached complexes
     lat = LcmLattice.from_ideal(lattices[name].ideal)
-    calls = []
+    deltas = [lat.simplicial_complex_at(e.id).facets for e in lat.elements if e.id != lat.bottom]
+    calls, nerves = [], []
 
     def counting(field, facets):
-        calls.append(facets)
+        # the nerves are built from lists of cover ids, never from one of these tuples
+        (calls if facets in deltas else nerves).append(facets)
         return build(field, facets)
 
     build = lattice_module.complex_of_facets
     monkeypatch.setattr(lattice_module, "complex_of_facets", counting)
     classify(lat, QQ)
     first = len(calls)
-    assert 0 < first <= len(lat) - 1
+    assert 0 < first <= len(lat) - 1 and len(nerves) == len(lat) - 1
     classify(lat, QQ)
-    assert len(calls) == first
+    assert len(calls) == first and len(nerves) == len(lat) - 1
     for e in lat.elements:
         if e.id == lat.bottom:
             continue
@@ -181,8 +188,6 @@ def test_labels_match_order():
 
 
 def test_betti_poset_two_routes_agree(lattices, QQ):
-    from monres.resolutions import minimize_resolution, taylor_resolution
-
     for name in ("triangle", "four_gens", "rigid4", "cone3"):
         lat = lattices[name]
         C, _ = minimize_resolution(taylor_resolution(lat.ideal, QQ), lat)
@@ -303,11 +308,13 @@ def test_lattice_matches_reference_on_label_lattices():
         assert_matches_reference(lat, subsets)
 
 
-# -- the two homology models ------------------------------------------------
+# -- the homology model ------------------------------------------------------
 #
-# `homology_dims_at` reads the homology dimensions of Delta_m from the upper
-# Koszul complex K^m where that model is smaller.  The references below take
-# K^m from its definition and reduce Delta_m at every element.
+# `homology_dims_at` reads the homology dimensions of Delta_m from the nerve
+# N_m of its facets, which has one vertex per cover of m.  The references
+# below reduce Delta_m at every element and take the upper Koszul complex
+# K^m = {W in supp m : m / x^W in I} from its definition: both have the
+# same reduced homology as N_m, so all three must agree.
 
 FIELDS = (Field(0), Field(2), Field(32003))
 
@@ -339,7 +346,7 @@ def ref_betti_numbers(lat, field):
 
 
 def assert_models_agree(lat, field):
-    """K^m (where supp m has at most 8 variables), Delta_m and the lattice agree at every element."""
+    """K^m (where supp m has at most 8 variables), Delta_m and the nerve agree at every element."""
     ref = ref_betti_numbers(lat, field)
     for e in lat.elements:
         if e.id == lat.bottom:
@@ -358,30 +365,55 @@ def test_homology_models_agree_on_named_lattices(lattices, field):
         assert_models_agree(LcmLattice.from_ideal(lat.ideal), field)
 
 
-@settings(max_examples=40, deadline=None)
-@given(char=st.sampled_from([f.char for f in FIELDS]), fewer_vars=st.integers(0, 3),
-       fewer_gens=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
-def test_homology_models_agree_on_generated_ideals(char, fewer_vars, fewer_gens, seed):
-    # sizes counted down from n = 5, r = 8, which hypothesis would otherwise rarely draw
-    n, r = 5 - fewer_vars, 8 - fewer_gens
-    rng = random.Random(seed)
+@st.composite
+def generated_lattices(draw, max_r):
+    """(field, lattice): a generated ideal with r <= max_r and n <= 5, or the
+    label lattice of one, made by feeding its labels to `from_labels`."""
+    field = Field(draw(st.sampled_from([f.char for f in FIELDS])))
+    # sizes counted down from the largest, which hypothesis would otherwise rarely draw
+    n, r = 5 - draw(st.integers(0, 3)), max_r - draw(st.integers(0, max_r - 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     while True:
         try:
-            ideal = random_minimal_ideal(r, n, 3, rng)
+            lat = LcmLattice.from_ideal(random_minimal_ideal(r, n, 3, rng))
             break
         except RuntimeError:
             r -= 1  # no antichain of that size in the grid
-    assert_models_agree(LcmLattice.from_ideal(ideal), Field(char))
+    if draw(st.booleans()):
+        return field, LcmLattice.from_labels(e.A for e in lat.elements)
+    return field, lat
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=generated_lattices(8))
+def test_homology_models_agree_on_generated_ideals(case):
+    field, lat = case
+    assert_models_agree(lat, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generated_lattices(7))
+def test_betti_routes_agree(case):
+    # the nerve, Delta_m and K^m per element, then two whole resolutions
+    field, lat = case
+    assert_models_agree(lat, field)
+    table = lat.betti_numbers(field)
+    _, C = atomic_lattice_resolution(lat, field)
+    report = verify_resolution(C, lat)
+    assert report.is_resolution and report.is_minimal
+    assert C.betti_table(lat) == table
+    M, _ = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
+    assert M.betti_table(lat) == table
 
 
 def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
-    # n = 3 < r = 9: Delta_m is reduced only where |A_m| <= |supp m| <= 3
+    # betti_numbers reduces one nerve per element and builds no Delta_m
     lat = LcmLattice.from_ideal(random_minimal_ideal(9, 3, 3, random.Random(6)))
-    reduced, delta = [], []
+    reduced, nerves, delta = [], [], []
 
-    def counting(reduce):
+    def counting(calls, reduce):
         def wrapped(cx):
-            reduced.append(cx)
+            calls.append(cx)
             return reduce(cx)
         return wrapped
 
@@ -390,29 +422,25 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
         return complex_at(self, m_id, field)
 
     complex_at = LcmLattice.complex_at
-    for name in ("reduced_homology", "reduced_homology_dims"):
-        monkeypatch.setattr(lattice_module, name, counting(getattr(lattice_module, name)))
+    monkeypatch.setattr(lattice_module, "reduced_homology",
+                        counting(reduced, lattice_module.reduced_homology))
+    monkeypatch.setattr(lattice_module, "reduced_homology_dims",
+                        counting(nerves, lattice_module.reduced_homology_dims))
     monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
     table = lat.betti_numbers(QQ)
-    small = {e.id for e in lat.elements
-             if e.id != lat.bottom and len(e.A) <= sum(1 for x in e.mdeg.exponents if x)}
-    assert len(reduced) == len(lat) - 1
-    assert set(delta) == small and len(delta) == len(small)
-    assert all(len(lat.element(m).A) <= 3 for m in small) and lat.top not in small
-    assert lat.betti_numbers(QQ) == table and len(reduced) == len(lat) - 1
-    # the Delta_m route filled the homology cache: no element is reduced twice
-    for m in small:
-        assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
-    assert len(reduced) == len(lat) - 1 and len(delta) == len(small)
+    assert delta == reduced == [] and len(nerves) == len(lat) - 1
+    assert lat.betti_numbers(QQ) == table
+    assert delta == reduced == [] and len(nerves) == len(lat) - 1
     # representatives: {} at once where the dims vanish, Delta_m once where they do not
-    koszul_ids = [e.id for e in lat.elements if e.id != lat.bottom and e.id not in small]
-    zero = [m for m in koszul_ids if not lat.homology_dims_at(m, QQ)]
-    betti = [m for m in koszul_ids if lat.homology_dims_at(m, QQ)]
+    ids = [e.id for e in lat.elements if e.id != lat.bottom]
+    zero = [m for m in ids if not lat.homology_dims_at(m, QQ)]
+    betti = [m for m in ids if lat.homology_dims_at(m, QQ)]
     assert zero and betti
-    assert all(lat.homology_at(m, QQ) == {} for m in zero) and len(reduced) == len(lat) - 1
-    for m in betti:
-        assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
-    assert delta[len(small):] == betti and len(reduced) == len(lat) - 1 + len(betti)
+    assert all(lat.homology_at(m, QQ) == {} for m in zero) and delta == reduced == []
+    for _ in range(2):
+        for m in betti:
+            assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
+    assert delta == betti and len(reduced) == len(betti) and len(nerves) == len(lat) - 1
 
 
 @pytest.mark.parametrize("char", [0, 2])

@@ -377,6 +377,36 @@ def test_verify_detects_broken_frame(lattices):
     assert not rep.is_resolution
 
 
+@pytest.mark.parametrize("name", ["cone3", "stable7"])
+def test_verify_names_the_multidegree_where_exactness_fails(lattices, name):
+    # dropping a top generator keeps a homogeneous complex, but the cycle it bounded
+    # stops being a boundary at its multidegree; restrictions not above it stay exact
+    lat = lattices[name]
+    _, C = atomic_lattice_resolution(lat, QQ)
+    top = len(C.levels) - 1
+    for j, dropped in enumerate(C.levels[top]):
+        keep = [k for k in range(len(C.levels[top])) if k != j]
+        levels = C.levels[:top] + [[C.levels[top][k] for k in keep]]
+        frames = C.frames[:top] + [C.frames[top].submatrix(range(C.frames[top].nrows), keep)]
+        report = verify_resolution(MultigradedComplex(C.ideal, QQ, levels, frames), lat)
+        assert report.homogeneous and report.complex and not report.is_resolution
+        mdeg = dropped.mdeg.to_str(C.ideal.names)
+        assert f"restricted frames exact: no (fails at {mdeg})" in report.summary().splitlines()
+
+
+def test_verify_names_the_entry_where_homogeneity_fails(lattices):
+    lat = lattices["stable7"]
+    _, C = atomic_lattice_resolution(lat, QQ)
+    # row 9 of map 3 has multidegree x*y^3, which does not divide column 2's x*y^2*z^2
+    assert not C.levels[2][9].mdeg.divides(C.levels[3][2].mdeg)
+    d = C.frames[3]
+    bad = Matrix(QQ, [[QQ.one if (r, c) == (9, 2) else d[r, c] for c in range(d.ncols)]
+                      for r in range(d.nrows)])
+    report = verify_resolution(MultigradedComplex(C.ideal, QQ, C.levels, C.frames[:3] + [bad]), lat)
+    assert not report.homogeneous and not report.is_resolution
+    assert report.summary().splitlines()[-1] == "homogeneity fails at map 3 entry (9, 2)"
+
+
 def test_verify_json_roundtrip(lattices):
     _, C = atomic_lattice_resolution(lattices["four_gens"], QQ)
     C2 = MultigradedComplex.from_json(C.to_json())
