@@ -229,24 +229,24 @@ class LcmLattice:
         return cache[m_id]
 
     def homology_dims_at(self, m_id: int, field: Field):
-        """dict dim -> dim_k H~_dim of Delta_m, read from the nerve N_m of its facets.
+        """dict dim -> dim_k H~_dim of Delta_m, from Delta_m or the nerve N_m of its facets.
 
-        N_m has the covers c of m as vertices and one facet {c : v in A_c}
-        for each generator v in A_m.  Every nonempty intersection of facets
-        of Delta_m is a simplex, so N_m is homotopy equivalent to Delta_m
-        (nerve theorem, Bjorner, "Topological methods", Thm 10.6) and has
-        the same reduced homology dimensions in every field.  Two covers
-        join to m, so each variable drops below m in at most one of them:
-        N_m has at most |supp m| vertices and needs no ideal.  At an atom
-        the one cover is the bottom, with empty label, so N_m = {()}.
+        N_m has the covers c of m as vertices and one facet {c : v in A_c} per
+        generator v in A_m.  Every nonempty intersection of facets of Delta_m
+        is a simplex, so N_m has the homology of Delta_m in every field (nerve
+        theorem, Bjorner, "Topological methods", Thm 10.6).  Either may be
+        exponentially larger than the other, so the one with fewer faces by
+        the bound sum_F 2^|F| is reduced, ranks alone; at an atom both are {()}.
         """
         if m_id == self.bottom:
             raise ValueError("no simplicial complex at the bottom element")
         cache = self._dims_cache.setdefault(field.char, {})
         if m_id not in cache:
             e = self.elements[m_id]
-            nerve = [[c for c in e.covers if v in self.elements[c].A] for v in e.A]
-            cache[m_id] = reduced_homology_dims(complex_of_facets(field, nerve))
+            delta = [self.elements[c].A for c in e.covers]
+            nerve = [[c for c, A in zip(e.covers, delta) if v in A] for v in e.A]
+            smaller = min((nerve, delta), key=lambda facets: sum(2 ** len(f) for f in facets))
+            cache[m_id] = reduced_homology_dims(complex_of_facets(field, smaller))
         return cache[m_id]
 
     def homology_at(self, m_id: int, field: Field):

@@ -95,6 +95,9 @@ class MonomialIdeal:
     def __init__(self, names, gens, minimize: bool = False):
         self.names = list(names)
         self.n = len(self.names)
+        for k, name in enumerate(self.names):
+            if name in self.names[:k]:
+                raise ValueError(f"duplicate variable {name!r}")
         gens = list(gens)
         for g in gens:
             if g.n != self.n:
@@ -199,9 +202,6 @@ def parse_ideal_text(text: str, minimize: bool = False):
         if head == "vars":
             if names is not None:
                 raise IdealParseError("duplicate vars statement", lineno)
-            for k, name in enumerate(rest):
-                if name in rest[:k]:
-                    raise IdealParseError(f"duplicate variable {name!r}", lineno)
             names = rest
         elif head == "gens":
             if gen_tokens is not None:

@@ -240,6 +240,16 @@ def test_lattice_json_input(capsys, ideal_file, tmp_path):
     assert out3.strip().splitlines()[-1] == "totals: 1 3 2"
 
 
+def test_lattice_json_with_a_repeated_variable_is_rejected(capsys, tmp_path):
+    # the ideal itself refuses two variables of one name, on every input path
+    dump = tmp_path / "dup.json"
+    dump.write_text(json.dumps({"vars": ["x", "y", "x"], "gens": ["x*y", "y^2"],
+                                "elements": [{"A": []}, {"A": [1]}, {"A": [2]}, {"A": [1, 2]}]}))
+    assert main(["betti", str(dump)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: duplicate variable 'x'\n"
+
+
 def test_bound_command(capsys, ideal_file):
     code, out = run(capsys, "bound", ideal_file("triangle"))
     assert code == 0 and out.strip() == "2"

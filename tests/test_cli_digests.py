@@ -27,7 +27,7 @@ from conftest import IDEALS, LATTICES
 COMMANDS = ("lattice", "betti", "--json betti", "taylor", "minimize", "resolve", "approx",
             "poset", "rlm", "classify", "scarf", "bound")
 # (r, n, seed) of `random_minimal_ideal(r, n, 3, random.Random(seed))`: with n < r
-# most elements have fewer covers, the vertices of the nerve, than generators below them
+# the nerve of Delta_m's facets is the smaller model at most elements
 RANDOM = {"random_r7_n3_s1": (7, 3, 1), "random_r8_n4_s3": (8, 4, 3),
           "random_r9_n4_s4": (9, 4, 4), "random_r9_n3_s6": (9, 3, 6)}
 INPUTS = [*IDEALS, *LATTICES, *RANDOM]

@@ -79,28 +79,35 @@ def test_simplicial_complex_at(lattices):
 def test_complex_at_is_built_once_per_element(lattices, monkeypatch, name):
     # a fresh lattice: the session fixtures may already hold cached complexes
     lat = LcmLattice.from_ideal(lattices[name].ideal)
-    deltas = [lat.simplicial_complex_at(e.id).facets for e in lat.elements if e.id != lat.bottom]
-    calls, nerves = [], []
+    calls, models, inside = [], [], []
 
     def counting(field, facets):
-        # the nerves are built from lists of cover ids, never from one of these tuples
-        (calls if facets in deltas else nerves).append(facets)
+        # Delta_m built by complex_at, or the model homology_dims_at reduces
+        (calls if inside else models).append(facets)
         return build(field, facets)
 
-    build = lattice_module.complex_of_facets
+    def counting_complex_at(self, m_id, field):
+        inside.append(m_id)
+        try:
+            return complex_at(self, m_id, field)
+        finally:
+            inside.pop()
+
+    build, complex_at = lattice_module.complex_of_facets, LcmLattice.complex_at
     monkeypatch.setattr(lattice_module, "complex_of_facets", counting)
+    monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
     classify(lat, QQ)
     first = len(calls)
-    assert 0 < first <= len(lat) - 1 and len(nerves) == len(lat) - 1
+    assert 0 < first <= len(lat) - 1 and len(models) == len(lat) - 1
     classify(lat, QQ)
-    assert len(calls) == first and len(nerves) == len(lat) - 1
+    assert len(calls) == first and len(models) == len(lat) - 1
     for e in lat.elements:
         if e.id == lat.bottom:
             continue
         cx = lat.complex_at(e.id, QQ)
         assert cx is lat.complex_at(e.id, QQ)
         assert reduced_homology(cx) == lat.homology_at(e.id, QQ)
-    assert len(calls) <= len(lat) - 1
+    assert len(calls) <= len(lat) - 1 and len(models) == len(lat) - 1
 
 
 def test_q_faces(lattices):
@@ -310,11 +317,12 @@ def test_lattice_matches_reference_on_label_lattices():
 
 # -- the homology model ------------------------------------------------------
 #
-# `homology_dims_at` reads the homology dimensions of Delta_m from the nerve
-# N_m of its facets, which has one vertex per cover of m.  The references
-# below reduce Delta_m at every element and take the upper Koszul complex
-# K^m = {W in supp m : m / x^W in I} from its definition: both have the
-# same reduced homology as N_m, so all three must agree.
+# `homology_dims_at` reads the homology dimensions of Delta_m from Delta_m
+# itself or from the nerve N_m of its facets (one vertex per cover of m),
+# whichever is smaller.  The references below reduce Delta_m at every
+# element and take the upper Koszul complex K^m = {W in supp m : m / x^W in I}
+# from its definition: both have the same reduced homology as N_m, so all
+# three must agree.
 
 FIELDS = (Field(0), Field(2), Field(32003))
 
@@ -394,10 +402,12 @@ def test_homology_models_agree_on_generated_ideals(case):
 @settings(max_examples=60, deadline=None)
 @given(case=generated_lattices(7))
 def test_betti_routes_agree(case):
-    # the nerve, Delta_m and K^m per element, then two whole resolutions
+    # whole resolutions against the homology formula, which reads each
+    # element's dims from N_m or Delta_m; the per-element models are
+    # compared with K^m in test_homology_models_agree_on_generated_ideals
     field, lat = case
-    assert_models_agree(lat, field)
     table = lat.betti_numbers(field)
+    assert ref_betti_numbers(lat, field) == table
     _, C = atomic_lattice_resolution(lat, field)
     report = verify_resolution(C, lat)
     assert report.is_resolution and report.is_minimal
@@ -407,9 +417,9 @@ def test_betti_routes_agree(case):
 
 
 def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
-    # betti_numbers reduces one nerve per element and builds no Delta_m
+    # betti_numbers reduces one model per element, ranks alone, and calls no complex_at
     lat = LcmLattice.from_ideal(random_minimal_ideal(9, 3, 3, random.Random(6)))
-    reduced, nerves, delta = [], [], []
+    reduced, models, delta = [], [], []
 
     def counting(calls, reduce):
         def wrapped(cx):
@@ -425,12 +435,12 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
     monkeypatch.setattr(lattice_module, "reduced_homology",
                         counting(reduced, lattice_module.reduced_homology))
     monkeypatch.setattr(lattice_module, "reduced_homology_dims",
-                        counting(nerves, lattice_module.reduced_homology_dims))
+                        counting(models, lattice_module.reduced_homology_dims))
     monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
     table = lat.betti_numbers(QQ)
-    assert delta == reduced == [] and len(nerves) == len(lat) - 1
+    assert delta == reduced == [] and len(models) == len(lat) - 1
     assert lat.betti_numbers(QQ) == table
-    assert delta == reduced == [] and len(nerves) == len(lat) - 1
+    assert delta == reduced == [] and len(models) == len(lat) - 1
     # representatives: {} at once where the dims vanish, Delta_m once where they do not
     ids = [e.id for e in lat.elements if e.id != lat.bottom]
     zero = [m for m in ids if not lat.homology_dims_at(m, QQ)]
@@ -440,7 +450,34 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
     for _ in range(2):
         for m in betti:
             assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
-    assert delta == betti and len(reduced) == len(betti) and len(nerves) == len(lat) - 1
+    assert delta == betti and len(reduced) == len(betti) and len(models) == len(lat) - 1
+
+
+def test_homology_dims_reduce_the_smaller_of_delta_and_the_nerve(monkeypatch):
+    # the fan {}, {i}, {1, i}, top: at the top generator 1 lies in all k - 1
+    # covers, so N_m is a (k - 2)-simplex while Delta_m is a star of k - 1 edges
+    k = 20
+    fan = LcmLattice.from_labels([()] + [(i,) for i in range(1, k + 1)]
+                                 + [(1, i) for i in range(2, k + 1)] + [range(1, k + 1)])
+    sizes = []
+
+    def bounded(field, facets):
+        facets = list(facets)
+        sizes.append(sum(2 ** len(f) for f in facets))
+        assert sizes[-1] <= 4 * k, "reduced the larger model"
+        return build(field, facets)
+
+    build = lattice_module.complex_of_facets
+    monkeypatch.setattr(lattice_module, "complex_of_facets", bounded)
+    for lat in (fan, LcmLattice.from_ideal(fan.ideal)):
+        assert lat.homology_dims_at(lat.top, QQ) == {}
+        assert lat.betti_numbers(QQ) == ref_betti_numbers(lat, QQ)
+    # few variables and many generators: the nerve is the smaller; at this
+    # top its 12 facets on 3 covers bound 72 faces, Delta_m's 3 facets 3 * 2^10
+    lat = LcmLattice.from_ideal(random_minimal_ideal(12, 3, 3, random.Random(6)))
+    sizes.clear()
+    lat.homology_dims_at(lat.top, QQ)
+    assert sizes == [72] and sum(2 ** len(lat.element(c).A) for c in lat.element(lat.top).covers) == 3072
 
 
 @pytest.mark.parametrize("char", [0, 2])
