@@ -20,7 +20,7 @@ from itertools import combinations
 from operator import le
 
 from monres.linalg import Field
-from monres.monomials import Monomial, MonomialIdeal, json_object, parse_monomial
+from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
 from monres.vcomplex import complex_of_facets, reduced_homology, reduced_homology_dims
 
 MAX_ATOMS = 63
@@ -296,9 +296,11 @@ class LcmLattice:
                   for k, e in enumerate(doc["elements"])]
         if "vars" in doc and "gens" in doc:
             json_object(doc, {"vars": (list, str), "gens": (list, str)}, "the lattice JSON")
-            names = doc["vars"]
-            gens = [parse_monomial(g, names) for g in doc["gens"]]
-            lat = LcmLattice.from_ideal(MonomialIdeal(names, gens))
+            try:
+                ideal = MonomialIdeal(doc["vars"], [parse_monomial(g, doc["vars"]) for g in doc["gens"]])
+            except ValueError as e:
+                raise IdealParseError(f"the lattice JSON: {e}") from e
+            lat = LcmLattice.from_ideal(ideal)
         else:
             lat = LcmLattice.from_labels(labels)
         given = {frozenset(A) for A in labels}

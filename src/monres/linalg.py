@@ -6,12 +6,13 @@ elimination routines use one fixed pivoting order -- first nonzero entry
 scanning rows top-down, columns left-right -- so every basis produced
 downstream is reproducible run to run.
 
-Elimination runs on sparse rows (the nonzero entries as ``{column: int}``)
-with one of two inner loops: GF(p) reduces each product ``% p``; QQ works
-fraction-free on primitive integer rows and forms Fractions only when it
-divides the pivot rows by their pivots at the end.  The reduced row
-echelon form of a matrix is unique, so R, the pivots and everything read
-from them equal what the dense textbook loop gives.
+A matrix stores only its nonzero entries, row by row as ``{column: value}``
+dicts, and every operation walks those alone.  Elimination copies the rows
+and runs one of two inner loops: GF(p) reduces each product ``% p``; QQ
+scales each row to a primitive integer row, works fraction-free and forms
+Fractions only when it divides the pivot rows by their pivots at the end.
+The reduced row echelon form of a matrix is unique, so R, the pivots and
+everything read from them equal what the dense textbook loop gives.
 """
 
 from __future__ import annotations
@@ -88,57 +89,60 @@ class Field:
 
 
 class Matrix:
-    """A dense exact matrix over a :class:`Field`.
+    """An exact matrix over a :class:`Field`, stored as its rows of nonzeros.
 
-    Values are immutable by convention: every operation returns a new
-    matrix.  Row/column indices are 0-based.
+    ``rows[i]`` maps the column of each nonzero entry of row i to its
+    value, a field element; no zero is stored.  Values are immutable by
+    convention: every operation returns a new matrix, and only the code
+    that builds a matrix writes its rows.  Row/column indices are 0-based.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows):
+        """The matrix with these dense rows (lists of field elements)."""
+        rows = [list(r) for r in rows]
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
+            raise ValueError("ragged rows")
+        self.rows = [{j: x for j, x in enumerate(r) if x} for r in rows]
 
     # -- constructors ------------------------------------------------
     @staticmethod
-    def zero(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
+    def sparse(field: Field, ncols: int, rows) -> "Matrix":
+        """The matrix with these rows of nonzeros, ``{column: value}``, taken as they are."""
         m = Matrix.__new__(Matrix)
-        m.field = field
-        m.nrows = nrows
-        m.ncols = ncols
-        m.rows = [[z] * ncols for _ in range(nrows)]
+        m.field, m.nrows, m.ncols, m.rows = field, len(rows), ncols, rows
         return m
 
     @staticmethod
+    def zero(field: Field, nrows: int, ncols: int) -> "Matrix":
+        return Matrix.sparse(field, ncols, [{} for _ in range(nrows)])
+
+    @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        m = Matrix.zero(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        return Matrix.sparse(field, n, [{i: field.one} for i in range(n)])
 
     @staticmethod
     def from_columns(field: Field, ncols_rows: int, columns) -> "Matrix":
         """Build a matrix with the given columns (each a length-`ncols_rows` vector)."""
         cols = [list(c) for c in columns]
-        m = Matrix.zero(field, ncols_rows, len(cols))
-        for j, c in enumerate(cols):
-            if len(c) != ncols_rows:
-                raise ValueError("column length mismatch")
-            for i in range(ncols_rows):
-                m.rows[i][j] = c[i]
-        return m
+        if any(len(c) != ncols_rows for c in cols):
+            raise ValueError("column length mismatch")
+        return Matrix.sparse(field, len(cols), [{j: c[i] for j, c in enumerate(cols) if c[i]}
+                                                for i in range(ncols_rows)])
 
     # -- basic access ------------------------------------------------
+    def _col(self, j: int) -> int:
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        return j
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.rows[i].get(self._col(j), self.field.zero)
 
     def __eq__(self, other):
         return (
@@ -146,91 +150,82 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and all(self.rows[i] == other.rows[i] for i in range(self.nrows))
+            and self.rows == other.rows
         )
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
+        body = "; ".join(" ".join(str(self[i, j]) for j in range(self.ncols)) for i in range(self.nrows))
         return f"Matrix({self.nrows}x{self.ncols}: [{body}])"
 
-    def copy(self) -> "Matrix":
-        return self.submatrix(range(self.nrows), range(self.ncols))
-
     def column(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
+        j, z = self._col(j), self.field.zero
+        return [r.get(j, z) for r in self.rows]
 
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
     def is_zero(self) -> bool:
-        return not any(x for r in self.rows for x in r)
+        return not any(self.rows)
 
     def stack_columns(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(self.field, [self.rows[i] + other.rows[i] for i in range(self.nrows)])
+        n = self.ncols
+        return Matrix.sparse(self.field, n + other.ncols, [
+            {**a, **{j + n: x for j, x in b.items()}} for a, b in zip(self.rows, other.rows)])
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        m = Matrix.zero(self.field, len(row_idx), len(col_idx))
-        m.rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        return m
+        """Rows `row_idx` and the distinct columns `col_idx`, in the given orders."""
+        pos = {self._col(j): k for k, j in enumerate(col_idx)}
+        if len(pos) != len(col_idx):
+            raise ValueError("repeated column index")
+        return Matrix.sparse(self.field, len(pos), [
+            {pos[j]: x for j, x in self.rows[i].items() if j in pos} for i in row_idx])
 
     # -- arithmetic --------------------------------------------------
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        f = self.field
-        out = Matrix.zero(f, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if not a:
-                    continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    b = rk[j]
-                    if b:
-                        oi[j] = f.add(oi[j], f.mul(a, b))
-        return out
+        p, out = self.field.char, []
+        for ri in self.rows:
+            acc: dict = {}
+            for k, a in ri.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v % p for j, v in acc.items() if v % p} if p
+                       else {j: v for j, v in acc.items() if v})
+        return Matrix.sparse(self.field, other.ncols, out)
 
     def mul_vector(self, v):
         if self.ncols != len(v):
             raise ValueError("vector length mismatch")
-        f = self.field
-        out = [f.zero] * self.nrows
-        for i in range(self.nrows):
-            acc = f.zero
-            ri = self.rows[i]
-            for j, x in enumerate(v):
-                if x and ri[j]:
-                    acc = f.add(acc, f.mul(ri[j], x))
-            out[i] = acc
-        return out
+        p, z = self.field.char, self.field.zero
+        out = [sum((x * v[j] for j, x in ri.items()), z) for ri in self.rows]
+        return [x % p for x in out] if p else out
 
     # -- elimination -------------------------------------------------
     def _echelon(self, reduced: bool):
         """Sparse elimination in the dense scan order: ``(rows, pivots)``.
 
-        Rows are ``{column: int}`` dicts of the nonzero entries, reduced mod
-        p, or in QQ scaled to primitive integer rows.  Per column, the first
-        row at or below the pivot row with a nonzero entry there is swapped
-        up and cleared out of every row below it, and with `reduced` out of
-        every row above too.  ``rows[r]`` ends as the pivot row of
-        ``pivots[r]``, with pivot 1 in GF(p) and a positive pivot in QQ.
+        Rows are ``{column: int}`` dicts of the nonzero entries: the
+        matrix's own in GF(p), in QQ scaled to primitive integer rows.  Per
+        column, the first row at or below the pivot row with a nonzero
+        entry there is swapped up and cleared out of every row below it,
+        and with `reduced` out of every row above too.  ``rows[r]`` ends as
+        the pivot row of ``pivots[r]``, with pivot 1 in GF(p) and a
+        positive pivot in QQ; the rows after the last pivot end empty.
         """
         p = self.field.char
-        rows = []
-        for r in self.rows:
-            if p:
-                rows.append({j: x % p for j, x in enumerate(r) if x % p})
-                continue
-            nz = [(j, x.as_integer_ratio()) for j, x in enumerate(r) if x]
-            d = lcm(*(q for _, (_, q) in nz))
-            row = {j: a * (d // q) for j, (a, q) in nz}
-            g = gcd(*row.values())
-            rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
+        if p:
+            rows = [dict(r) for r in self.rows]
+        else:
+            rows = []
+            for r in self.rows:
+                nz = [(j, x.as_integer_ratio()) for j, x in r.items()]
+                d = lcm(*(q for _, (_, q) in nz))
+                row = {j: a * (d // q) for j, (a, q) in nz}
+                g = gcd(*row.values())
+                rows.append({j: v // g for j, v in row.items()} if g > 1 else row)
         pivots = []
         for pc in range(self.ncols):
             pr = len(pivots)
@@ -289,12 +284,10 @@ class Matrix:
         """
         f = self.field
         rows, pivots = self._echelon(reduced=True)
-        R = Matrix.zero(f, self.nrows, self.ncols)
-        for r, pc in enumerate(pivots):
-            a = rows[r][pc]
-            for c, v in rows[r].items():
-                R.rows[r][c] = v if f.char else Fraction(v, a)
-        return R, pivots, len(pivots)
+        if not f.char:
+            rows[:len(pivots)] = [{c: Fraction(v, row[pc]) for c, v in row.items()}
+                                  for row, pc in zip(rows, pivots)]
+        return Matrix.sparse(f, self.ncols, rows), pivots, len(pivots)
 
     def rank(self) -> int:
         """The number of pivots of forward elimination alone."""
@@ -309,17 +302,11 @@ class Matrix:
         f = self.field
         R, pivots, _ = self.rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        cols = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                x = R.rows[r][fc]
-                if x:
-                    v[pc] = f.neg(x)
-            cols.append(v)
-        return Matrix.from_columns(f, self.ncols, cols)
+        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in pivot_set)}
+        rows = [{free[j]: f.one} if j in free else {} for j in range(self.ncols)]
+        for row, pc in zip(R.rows, pivots):
+            rows[pc] = {free[c]: f.neg(x) for c, x in row.items() if c != pc}
+        return Matrix.sparse(f, len(free), rows)
 
     def solve(self, b):
         """Canonical particular solution of ``self @ x = b`` or None.
@@ -328,25 +315,24 @@ class Matrix:
         """
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
-        f = self.field
-        aug = Matrix(f, [self.rows[i] + [b[i]] for i in range(self.nrows)])
+        f, n = self.field, self.ncols
+        aug = Matrix.sparse(f, n + 1, [{**r, n: x} if x else dict(r) for r, x in zip(self.rows, b)])
         R, pivots, _ = aug.rref()
-        if self.ncols in pivots:
+        if n in pivots:
             return None
-        x = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
+        x = [f.zero] * n
+        for row, pc in zip(R.rows, pivots):
+            x[pc] = row.get(n, f.zero)
         return x
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        f = self.field
-        aug = self.stack_columns(Matrix.identity(f, self.nrows))
-        R, pivots, rank = aug.rref()
-        if rank < self.nrows or pivots[: self.nrows] != list(range(self.nrows)):
+        f, n = self.field, self.nrows
+        R, pivots, rank = self.stack_columns(Matrix.identity(f, n)).rref()
+        if rank < n or pivots[:n] != list(range(n)):
             raise ValueError("matrix not invertible")
-        return Matrix(f, [r[self.nrows:] for r in R.rows[: self.nrows]])
+        return Matrix.sparse(f, n, [{c - n: x for c, x in row.items() if c >= n} for row in R.rows[:n]])
 
 
 def column_space_basis(m: Matrix):

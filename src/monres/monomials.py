@@ -89,15 +89,21 @@ def parse_monomial(text: str, names) -> Monomial:
     return Monomial(tuple(exps))
 
 
+def distinct_names(names) -> list:
+    """The variable names as a list; a name given twice is an error."""
+    names = list(names)
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"duplicate variable {name!r}")
+    return names
+
+
 class MonomialIdeal:
     """A monomial ideal given by its minimal generating set, in order."""
 
     def __init__(self, names, gens, minimize: bool = False):
-        self.names = list(names)
+        self.names = distinct_names(names)
         self.n = len(self.names)
-        for k, name in enumerate(self.names):
-            if name in self.names[:k]:
-                raise ValueError(f"duplicate variable {name!r}")
         gens = list(gens)
         for g in gens:
             if g.n != self.n:
@@ -202,7 +208,10 @@ def parse_ideal_text(text: str, minimize: bool = False):
         if head == "vars":
             if names is not None:
                 raise IdealParseError("duplicate vars statement", lineno)
-            names = rest
+            try:
+                names = distinct_names(rest)
+            except ValueError as e:
+                raise IdealParseError(str(e), lineno) from e
         elif head == "gens":
             if gen_tokens is not None:
                 raise IdealParseError("duplicate gens statement", lineno)

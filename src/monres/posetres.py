@@ -149,7 +149,7 @@ def sigma_preimage(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: 
     sol = [field.zero] * w_mat.ncols
     if outside:
         rhs = [field.neg(cycle.terms.get(faces[i], field.zero)) for i in outside]
-        sol = Matrix(field, [w_mat.rows[i] for i in outside]).solve(rhs)
+        sol = w_mat.submatrix(outside, range(w_mat.ncols)).solve(rhs)
         if sol is None:
             raise ValueError("no preimage in the subcomplex (comparison map not surjective?)")
     terms = dict(cycle.terms)
@@ -414,8 +414,9 @@ def _output(kind: str, lat: LcmLattice, hb: HomologyBasis, levels, matrices) -> 
             out.append(MgBasisElement(label, mdeg, i))
         lv_elems.append(out)
     hom = MultigradedComplex(lat.ideal, hb.field, lv_elems, matrices)
-    return ConstructionOutput(kind, levels, matrices, hom, hom.is_complex(),
-                              verify_resolution(hom, lat))
+    report = verify_resolution(hom, lat)
+    return ConstructionOutput(kind, levels, matrices, hom,
+                              report.complex if report.homogeneous else hom.is_complex(), report)
 
 
 def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> ConstructionOutput:

@@ -60,12 +60,6 @@ class MultigradedComplex:
             n -= 1
         return n
 
-    def frame(self, i: int) -> Matrix:
-        if 1 <= i < len(self.levels):
-            return self.frames[i]
-        rows = len(self.levels[i - 1]) if 0 <= i - 1 < len(self.levels) else 0
-        return Matrix.zero(self.field, rows, 0)
-
     def rank_vector(self):
         return [len(self.levels[i]) for i in range(self.length + 1)]
 
@@ -79,13 +73,13 @@ class MultigradedComplex:
         return scalar, hi.quotient(lo)
 
     def homogeneity_failure(self):
-        z = self.field.zero
+        """The first (map, row, column) whose entry is nonzero against divisibility, or None."""
         for i in range(1, len(self.levels)):
-            fr = self.frames[i]
-            for r in range(fr.nrows):
-                for c in range(fr.ncols):
-                    if fr[r, c] != z and not self.levels[i - 1][r].mdeg.divides(self.levels[i][c].mdeg):
-                        return (i, r, c)
+            lo, hi = self.levels[i - 1], self.levels[i]
+            for r, row in enumerate(self.frames[i].rows):
+                bad = [c for c in row if not lo[r].mdeg.divides(hi[c].mdeg)]
+                if bad:
+                    return (i, r, min(bad))
         return None
 
     def is_complex(self) -> bool:
@@ -96,14 +90,9 @@ class MultigradedComplex:
         return True
 
     def is_minimal(self) -> bool:
-        z = self.field.zero
-        for i in range(1, len(self.levels)):
-            fr = self.frames[i]
-            for r in range(fr.nrows):
-                for c in range(fr.ncols):
-                    if fr[r, c] != z and self.levels[i - 1][r].mdeg == self.levels[i][c].mdeg:
-                        return False
-        return True
+        return not any(self.levels[i - 1][r].mdeg == self.levels[i][c].mdeg
+                       for i in range(1, len(self.levels))
+                       for r, row in enumerate(self.frames[i].rows) for c in row)
 
     def restrict_to(self, m: Monomial) -> BasedComplex:
         """Frame of F(<= m): basis elements of multidegree dividing m."""
@@ -184,11 +173,10 @@ class MultigradedComplex:
             mdegs = " ".join(e.mdeg.to_str(names) for e in self.levels[i])
             lines.append(f"degree {i}: basis multidegrees [{mdegs}]")
             rows = []
-            for r in range(len(self.levels[i - 1])):
-                cells = []
-                for c in range(len(self.levels[i])):
-                    scalar, quot = self.s_entry(i, r, c)
-                    cells.append(_format_s_entry(self.field, scalar, quot, names))
+            for r, row in enumerate(self.frames[i].rows):
+                cells = ["0"] * self.frames[i].ncols
+                for c in row:
+                    cells[c] = _format_s_entry(self.field, *self.s_entry(i, r, c), names)
                 rows.append(" ".join(cells))
             lines.append("  d_%d = [%s]" % (i, "; ".join(rows)))
         lines.append(f"degree 0: basis multidegrees [{self.levels[0][0].mdeg.to_str(names)}]"
@@ -264,18 +252,20 @@ class TaylorBasis:
 def taylor_resolution(ideal: MonomialIdeal, field: Field) -> MultigradedComplex:
     """The Taylor complex: the chain complex of the full simplex on the generators.
 
-    mdeg(A) = lcm(mdeg(A minus max A), m_max A); the frames are the simplex's boundary maps.
+    mdeg(A) = lcm(mdeg(A minus max A), m_max A), one Monomial per distinct multidegree; the
+    frames are the simplex's boundary maps.
     """
     if ideal.r > 20:
         raise ValueError("Taylor resolution limited to 20 generators (2^r basis)")
     cx = complex_of_facets(field, [range(1, ideal.r + 1)])
-    levels = [[MgBasisElement(Chain.from_face(field, ()), ideal.one(), 0)]]
-    for size in range(1, ideal.r + 1):
-        index = {A: j for j, A in enumerate(cx.labels[size - 1])}
-        below = levels[-1]
-        levels.append([MgBasisElement(Chain.from_face(field, A),
-                                      below[index[A[:-1]]].mdeg.lcm(ideal.generator(A[-1])), size)
-                       for A in cx.labels[size]])
+    mdeg, seen = {(): ideal.one()}, {}
+    for A in (A for lv in cx.labels[1:] for A in lv):
+        e = tuple(map(max, mdeg[A[:-1]].exponents, ideal.gens[A[-1] - 1].exponents))
+        if e not in seen:
+            seen[e] = Monomial(e)
+        mdeg[A] = seen[e]
+    levels = [[MgBasisElement(Chain(field, {A: field.one}), mdeg[A], size) for A in lv]
+              for size, lv in enumerate(cx.labels)]
     return MultigradedComplex(ideal, field, levels, cx.maps)
 
 
@@ -286,17 +276,19 @@ class _SparseFrames:
     """A complex's frames as sparse rows and columns, ``rows[i][u][v] = cols[i][v][u]``.
 
     Cancellations change them in place.  Positions stay those of the input
-    complex, so scans and `complex()` keep the dense order.
+    complex, so scans and `complex()` keep the dense order.  A label that a
+    cancellation changes is kept as its own term dict in ``terms[i][v]``,
+    copied from the input chain on the first change.
     """
 
     def __init__(self, C: MultigradedComplex):
         self.C = C
-        self.elems = [list(lv) for lv in C.levels]
         self.keys = [[e.mdeg.exponents for e in lv] for lv in C.levels]
         self.alive = [set(range(len(lv))) for lv in C.levels]
+        self.terms: list = [{} for _ in C.levels]
         self.rows, self.cols = [None], [None]
         for fr in C.frames[1:]:
-            rows = {u: {v: x for v, x in enumerate(row) if x} for u, row in enumerate(fr.rows)}
+            rows = {u: dict(row) for u, row in enumerate(fr.rows)}
             cols: dict = {v: {} for v in range(fr.ncols)}
             for u, row in rows.items():
                 for v, x in row.items():
@@ -309,7 +301,7 @@ class _SparseFrames:
 
     def first_unit(self, i0: int = 1, q0: int = 0):
         """First unit entry at or after (degree i0, row q0), scanning as `find_unit_entry`."""
-        for i in range(i0, self.length() + 1):
+        for i in range(i0, len(self.rows)):
             lo, hi = self.keys[i - 1], self.keys[i]
             for q in range(q0 if i == i0 else 0, len(lo)):
                 units = [p for p in self.rows[i].get(q, ()) if hi[p] == lo[q]]
@@ -323,8 +315,9 @@ class _SparseFrames:
         Rows above q had no unit; row u gains one only if mdeg(u) is that of
         a column in row q, which in a homogeneous complex makes (u, p) a unit.
         """
-        f, z = self.C.field, self.C.field.zero
-        if not 1 <= i <= self.length():
+        f = self.C.field
+        z, ch = f.zero, f.char
+        if not 1 <= i < len(self.rows) or not self.alive[i]:
             raise ValueError(f"no map at degree {i}")
         rows, cols, lo, hi = self.rows[i], self.cols[i], self.keys[i - 1], self.keys[i]
         a = rows[q].get(p)
@@ -333,21 +326,33 @@ class _SparseFrames:
         if lo[q] != hi[p]:
             raise ValueError("cancellation entry is not a unit: multidegrees differ")
         inv_a = f.inv(a)
-        row_q, col_p, lv, fp = rows.pop(q), cols.pop(p), self.elems[i], self.elems[i][p]
+        row_q, col_p, lv, own = rows.pop(q), cols.pop(p), self.C.levels[i], self.terms[i]
         del row_q[p], col_p[q]
+        fp = own.pop(p, None)
+        if fp is None and isinstance(lv[p].label, Chain):
+            fp = lv[p].label.terms
         for v, x in row_q.items():
             del cols[v][q]
-            if isinstance(lv[v].label, Chain) and isinstance(fp.label, Chain):
-                c, terms = f.mul(inv_a, x), dict(lv[v].label.terms)
-                for fc, y in fp.label.terms.items():
-                    terms[fc] = f.sub(terms.get(fc, z), f.mul(c, y))
-                lv[v] = MgBasisElement(Chain(f, terms, dim=lv[v].label.dim), lv[v].mdeg, i)
+            if fp is not None and isinstance(lv[v].label, Chain):
+                c, terms = f.mul(inv_a, x), own.get(v)
+                if terms is None:
+                    terms = own[v] = dict(lv[v].label.terms)
+                for fc, y in fp.items():
+                    val = terms.get(fc, z) - c * y
+                    if ch:
+                        val %= ch
+                    if val:
+                        terms[fc] = val
+                    else:
+                        terms.pop(fc, None)
         resume, row_q_keys = q + 1, {hi[v] for v in row_q}
         for u, y in col_p.items():
             row_u, c = rows[u], f.mul(y, inv_a)
             del row_u[p]
             for v, x in row_q.items():
-                val = f.sub(row_u.get(v, z), f.mul(c, x))
+                val = row_u.get(v, z) - c * x
+                if ch:
+                    val %= ch
                 if not val:
                     row_u.pop(v, None)
                     cols[v].pop(u, None)
@@ -371,13 +376,14 @@ class _SparseFrames:
         keep = [sorted(a) for a in self.alive[:self.length() + 1]]
         frames: list = [None]
         for i in range(1, len(keep)):
-            fr = Matrix.zero(f, len(keep[i - 1]), len(keep[i]))
             col = {v: c for c, v in enumerate(keep[i])}
-            for r, u in enumerate(keep[i - 1]):
-                for v, x in self.rows[i][u].items():
-                    fr.rows[r][col[v]] = x
-            frames.append(fr)
-        levels = [[self.elems[i][j] for j in lv] for i, lv in enumerate(keep)]
+            frames.append(Matrix.sparse(f, len(col), [{col[v]: x for v, x in self.rows[i][u].items()}
+                                                      for u in keep[i - 1]]))
+        levels = []
+        for i, lv in enumerate(keep):
+            elems, own = self.C.levels[i], self.terms[i]
+            levels.append([elems[j] if j not in own else MgBasisElement(
+                Chain(f, own[j], dim=elems[j].label.dim), elems[j].mdeg, i) for j in lv])
         return MultigradedComplex(self.C.ideal, f, levels, frames)
 
 
@@ -768,8 +774,7 @@ def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> V
         and len(C.levels) > 1
     )
     if h0_ok:
-        image_mdegs = [C.levels[1][j].mdeg for j in range(len(C.levels[1]))
-                       if any(C.frames[1][r, j] != C.field.zero for r in range(C.frames[1].nrows))]
+        image_mdegs = [C.levels[1][j].mdeg for j in {j for row in C.frames[1].rows for j in row}]
         h0_ok = all(ideal.contains_monomial(m) for m in image_mdegs) and all(
             any(m.divides(g) for m in image_mdegs) for g in ideal.gens
         )
@@ -802,20 +807,14 @@ def maximal_approximation(C: MultigradedComplex) -> MultigradedComplex:
     coefficient on e' survives only if mdeg(e') is maximal in that set.
     The result may fail to be a complex; callers check `is_complex`.
     """
-    z = C.field.zero
     frames: list = [None]
     for i in range(1, len(C.levels)):
-        fr = C.frames[i].copy()
         lower = [e.mdeg for e in C.levels[i - 1]]
-        for c, e in enumerate(C.levels[i]):
-            cmp_set = [t for t in lower if t.divides(e.mdeg) and t != e.mdeg]
-            for r in range(fr.nrows):
-                if fr[r, c] == z:
-                    continue
-                mj = lower[r]
-                if any(mj.divides(t) and mj != t for t in cmp_set):
-                    fr.rows[r][c] = z
-        frames.append(fr)
+        cmp_sets = [[t for t in lower if t.divides(e.mdeg) and t != e.mdeg] for e in C.levels[i]]
+        frames.append(Matrix.sparse(C.field, C.frames[i].ncols, [
+            {c: x for c, x in row.items() if not any(lower[r].divides(t) and lower[r] != t
+                                                      for t in cmp_sets[c])}
+            for r, row in enumerate(C.frames[i].rows)]))
     return MultigradedComplex(C.ideal, C.field, C.levels, frames)
 
 
@@ -850,12 +849,12 @@ def change_of_basis(C: MultigradedComplex, Us) -> MultigradedComplex:
         if U.nrows != len(lv) or U.ncols != len(lv):
             raise ChangeOfBasisError("i", f"U_{i} has wrong shape")
         block = Matrix.zero(f, len(lv), len(lv))
-        for r in range(len(lv)):
-            for c in range(len(lv)):
-                if U[r, c] != f.zero and not lv[r].mdeg.divides(lv[c].mdeg):
+        for r, row in enumerate(U.rows):
+            for c, u in sorted(row.items()):
+                if not lv[r].mdeg.divides(lv[c].mdeg):
                     raise ChangeOfBasisError("ii", f"U_{i}[{r},{c}] nonzero but multidegree does not divide")
                 if lv[r].mdeg == lv[c].mdeg:
-                    block.rows[r][c] = U[r, c]
+                    block.rows[r][c] = u
         if block.rank() != len(lv):
             raise ChangeOfBasisError("i", f"U_{i} equal-multidegree part is singular")
     frames: list = [None]

@@ -261,11 +261,8 @@ def class_in_homology(cx: BasedComplex, c: Chain, basis_chains):
     coords = chain_to_coords(cx, c)
     if any(x != field.zero for x in d.mul_vector(coords)):
         raise ValueError("not a cycle")
-    up = cx.differential(level + 1)
-    cols = [chain_to_coords(cx, b) for b in basis_chains]
-    cols += [up.column(j) for j in range(up.ncols)]
-    m = Matrix.from_columns(field, len(coords), cols)
-    sol = m.solve(coords)
+    basis = Matrix.from_columns(field, len(coords), [chain_to_coords(cx, b) for b in basis_chains])
+    sol = basis.stack_columns(cx.differential(level + 1)).solve(coords)
     if sol is None:
         raise ValueError("class not in the span of the given basis")
     return sol[: len(basis_chains)]

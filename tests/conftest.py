@@ -115,6 +115,177 @@ def random_based_complex(rng, field=None, max_len=3, max_dim=8):
     return BasedComplex(field, labels, maps)
 
 
+class DenseMatrix:
+    """The dense reference for `monres.linalg.Matrix`: every entry stored, zeros too.
+
+    It keeps the dense storage and the textbook algorithms that `Matrix`
+    replaced, so the sparse one can be compared with it method by method.
+    """
+
+    def __init__(self, field, rows, ncols=None):
+        self.field = field
+        self.rows = [list(r) for r in rows]
+        self.nrows = len(self.rows)
+        self.ncols = len(self.rows[0]) if self.rows else ncols or 0
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged rows")
+
+    @staticmethod
+    def of(m):
+        """The dense copy of a `Matrix` (or of another DenseMatrix)."""
+        return DenseMatrix(m.field, [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)],
+                           m.ncols)
+
+    def sparse(self):
+        """The same matrix as a `Matrix`."""
+        from monres.linalg import Matrix
+        return Matrix.from_columns(self.field, self.nrows, self.columns())
+
+    @staticmethod
+    def zero(field, nrows, ncols):
+        return DenseMatrix(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
+
+    @staticmethod
+    def identity(field, n):
+        m = DenseMatrix.zero(field, n, n)
+        for i in range(n):
+            m.rows[i][i] = field.one
+        return m
+
+    @staticmethod
+    def from_columns(field, nrows, columns):
+        cols = [list(c) for c in columns]
+        m = DenseMatrix.zero(field, nrows, len(cols))
+        for j, c in enumerate(cols):
+            if len(c) != nrows:
+                raise ValueError("column length mismatch")
+            for i in range(nrows):
+                m.rows[i][j] = c[i]
+        return m
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    def __setitem__(self, ij, x):
+        i, j = ij
+        self.rows[i][j] = x
+
+    def __eq__(self, other):
+        return (isinstance(other, DenseMatrix) and self.field == other.field
+                and (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows)
+
+    def copy(self):
+        return self.submatrix(range(self.nrows), range(self.ncols))
+
+    def column(self, j):
+        return [self.rows[i][j] for i in range(self.nrows)]
+
+    def columns(self):
+        return [self.column(j) for j in range(self.ncols)]
+
+    def is_zero(self):
+        return not any(x for r in self.rows for x in r)
+
+    def stack_columns(self, other):
+        if self.nrows != other.nrows:
+            raise ValueError("row count mismatch")
+        return DenseMatrix(self.field, [self.rows[i] + other.rows[i] for i in range(self.nrows)],
+                           self.ncols + other.ncols)
+
+    def submatrix(self, row_idx, col_idx):
+        return DenseMatrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx],
+                           len(col_idx))
+
+    def mul(self, other):
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        f = self.field
+        out = DenseMatrix.zero(f, self.nrows, other.ncols)
+        for i in range(self.nrows):
+            for k in range(self.ncols):
+                a = self.rows[i][k]
+                for j in range(other.ncols):
+                    b = other.rows[k][j]
+                    if a and b:
+                        out.rows[i][j] = f.add(out.rows[i][j], f.mul(a, b))
+        return out
+
+    def mul_vector(self, v):
+        if self.ncols != len(v):
+            raise ValueError("vector length mismatch")
+        f = self.field
+        out = [f.zero] * self.nrows
+        for i in range(self.nrows):
+            for j, x in enumerate(v):
+                if x and self.rows[i][j]:
+                    out[i] = f.add(out[i], f.mul(self.rows[i][j], x))
+        return out
+
+    def rref(self):
+        """The textbook reduced row echelon form: every entry visited, zeros included."""
+        f = self.field
+        R = self.copy()
+        pivots = []
+        for pc in range(R.ncols):
+            pr = len(pivots)
+            rows = [i for i in range(pr, R.nrows) if R.rows[i][pc] != f.zero]
+            if not rows:
+                continue
+            R.rows[pr], R.rows[rows[0]] = R.rows[rows[0]], R.rows[pr]
+            inv = f.inv(R.rows[pr][pc])
+            R.rows[pr] = [f.mul(inv, x) for x in R.rows[pr]]
+            for i in range(R.nrows):
+                c = R.rows[i][pc]
+                if i != pr and c != f.zero:
+                    R.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(R.rows[i], R.rows[pr])]
+            pivots.append(pc)
+        return R, pivots, len(pivots)
+
+    def rank(self):
+        return self.rref()[2]
+
+    def kernel_basis(self):
+        f = self.field
+        R, pivots, _ = self.rref()
+        cols = []
+        for fc in [j for j in range(self.ncols) if j not in pivots]:
+            v = [f.zero] * self.ncols
+            v[fc] = f.one
+            for r, pc in enumerate(pivots):
+                if R.rows[r][fc]:
+                    v[pc] = f.neg(R.rows[r][fc])
+            cols.append(v)
+        return DenseMatrix.from_columns(f, self.ncols, cols)
+
+    def solve(self, b):
+        if len(b) != self.nrows:
+            raise ValueError("rhs length mismatch")
+        f = self.field
+        R, pivots, _ = DenseMatrix(f, [self.rows[i] + [b[i]] for i in range(self.nrows)],
+                                   self.ncols + 1).rref()
+        if self.ncols in pivots:
+            return None
+        x = [f.zero] * self.ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = R.rows[r][self.ncols]
+        return x
+
+    def inverse(self):
+        if self.nrows != self.ncols:
+            raise ValueError("not square")
+        n = self.nrows
+        R, pivots, rank = self.stack_columns(DenseMatrix.identity(self.field, n)).rref()
+        if rank < n or pivots[:n] != list(range(n)):
+            raise ValueError("matrix not invertible")
+        return DenseMatrix(self.field, [r[n:] for r in R.rows[:n]], n)
+
+
+def typed_entries(m):
+    """Every entry of a `Matrix` or `DenseMatrix`, row by row, as (value, type)."""
+    return [[(m[i, j], type(m[i, j])) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
 def is_taylor_chain_at(lattice, c, m_id: int) -> bool:
     """True iff some face has closure equal to the closure of supp(c), both = A_m."""
     from monres.chains import support

@@ -162,6 +162,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("vars x y x; gens x*y y^2", "line 1: duplicate variable 'x'"),
+    ("vars x y x\ngens x*y y^2", "line 1: duplicate variable 'x'"),
     ("vars x y; gens x y; char 2; char 3;", "line 1: duplicate char statement"),
 ])
 def test_repeated_declaration_is_parse_error(capsys, tmp_path, text, message):
@@ -241,13 +242,16 @@ def test_lattice_json_input(capsys, ideal_file, tmp_path):
 
 
 def test_lattice_json_with_a_repeated_variable_is_rejected(capsys, tmp_path):
-    # the ideal itself refuses two variables of one name, on every input path
-    dump = tmp_path / "dup.json"
-    dump.write_text(json.dumps({"vars": ["x", "y", "x"], "gens": ["x*y", "y^2"],
-                                "elements": [{"A": []}, {"A": [1]}, {"A": [2]}, {"A": [1, 2]}]}))
-    assert main(["betti", str(dump)]) == 4
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: duplicate variable 'x'\n"
+    # the ideal itself refuses two variables of one name, on every input path;
+    # a dump naming an ideal that cannot be built is malformed input
+    elements = [{"A": []}, {"A": [1]}, {"A": [2]}, {"A": [1, 2]}]
+    for vars_, gens, message in [(["x", "y", "x"], ["x*y", "y^2"], "duplicate variable 'x'"),
+                                 (["x", "y"], ["x", "x*y"], "non-minimal generators: x divides x*y")]:
+        dump = tmp_path / "bad.json"
+        dump.write_text(json.dumps({"vars": vars_, "gens": gens, "elements": elements}))
+        assert main(["betti", str(dump)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"parse error: the lattice JSON: {message}\n"
 
 
 def test_bound_command(capsys, ideal_file):

@@ -11,7 +11,7 @@ import monres.lattice as lattice_module
 from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.monomials import Monomial, parse_ideal_text, random_minimal_ideal
+from monres.monomials import Monomial, MonomialIdeal, random_minimal_ideal
 from monres.resolutions import (atomic_lattice_resolution, minimize_resolution,
                                 taylor_resolution, verify_resolution)
 from monres.vcomplex import complex_of_facets, reduced_homology
@@ -414,6 +414,30 @@ def test_betti_routes_agree(case):
     assert C.betti_table(lat) == table
     M, _ = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
     assert M.betti_table(lat) == table
+
+
+# the Stanley-Reisner ideal of the 6-vertex real projective plane: its
+# minimal non-faces, 10 triangles, as square-free cubics in 6 variables
+RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+def test_betti_numbers_of_rp2_depend_on_the_characteristic():
+    # H~_1(RP^2) is Z/2, so GF(2) sees one more class at the top than QQ;
+    # one lattice queried in both fields must answer each as a fresh one
+    ideal = MonomialIdeal([f"x{v}" for v in range(1, 7)],
+                          [Monomial(tuple(int(v in t) for v in range(1, 7)))
+                           for t in combinations(range(1, 7), 3) if t not in RP2_FACETS])
+    lat = LcmLattice.from_ideal(ideal)
+    want = {0: [1, 10, 15, 6], 2: [1, 10, 15, 7, 1]}
+    for char in (0, 2, 0):
+        field = Field(char)
+        table = lat.betti_numbers(field)
+        assert table == LcmLattice.from_ideal(ideal).betti_numbers(field)
+        totals = Counter(i for (i, _), n in table.items() for _ in range(n))
+        assert [totals[i] for i in range(max(totals) + 1)] == want[char]
+        C, _ = minimize_resolution(taylor_resolution(ideal, field), lat)
+        assert C.betti_table(lat) == table
 
 
 def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):

@@ -2,12 +2,13 @@
 
 import random
 from itertools import product
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monres.linalg import Field, Matrix, column_space_basis
+
+from conftest import DenseMatrix, typed_entries
 
 
 QQ = Field(0)
@@ -167,79 +168,103 @@ def test_column_space_basis_matches_greedy_reference(char, data):
     assert column_space_basis(a) == ref_column_space_basis(a)
 
 
-# -- differential check of the sparse kernel against the dense loop -----
+# -- differential checks of the sparse matrix against the dense reference --
 
 
-def ref_rref(self):
-    """The dense reduced row echelon form: every entry visited, zeros included."""
-    f = self.field
-    R = self.copy()
-    pivots = []
-    pr = 0
-    for pc in range(R.ncols):
-        pivot_row = None
-        for i in range(pr, R.nrows):
-            if R.rows[i][pc] != f.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        R.rows[pr], R.rows[pivot_row] = R.rows[pivot_row], R.rows[pr]
-        inv = f.inv(R.rows[pr][pc])
-        R.rows[pr] = [f.mul(inv, x) for x in R.rows[pr]]
-        for i in range(R.nrows):
-            if i != pr and R.rows[i][pc] != f.zero:
-                c = R.rows[i][pc]
-                R.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(R.rows[i], R.rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == R.nrows:
-            break
-    return R, pivots, len(pivots)
+def values(field):
+    if field.char == 0:
+        return st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=4))
+    return st.one_of(st.just(0), st.integers(-5, 5))
 
 
-def typed(m):
-    return [[(type(x), x) for x in row] for row in m.rows]
-
-
-def read_from_rref(a, b):
-    """Everything read from `a.rref()`, with right-hand side `b`."""
-    R, pivots, rank = a.rref()
-    try:
-        inv = typed(a.inverse())
-    except ValueError as e:
-        inv = str(e)
-    return ((R.nrows, R.ncols), typed(R), pivots, rank, typed(a.kernel_basis()), a.solve(b),
-            a.solve(a.mul_vector([a.field.one] * a.ncols)), inv)
+@st.composite
+def matrix_pairs(draw, field, nrows, ncols):
+    """(Matrix, DenseMatrix) with the same entries, some rows all zero, built one of two ways."""
+    rows = draw(st.lists(st.lists(values(field), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
+    rows = [[field.of(0 if i in zero_rows else x) for x in row] for i, row in enumerate(rows)]
+    ref = DenseMatrix(field, rows, ncols)
+    if nrows and draw(st.booleans()):
+        return Matrix(field, rows), ref
+    return Matrix.from_columns(field, nrows, ref.columns()), ref
 
 
 @st.composite
 def field_matrices(draw):
     field = Field(draw(st.sampled_from([0, 2, 3, 32003])))
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
-    if field.char == 0:
-        value = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=4))
-    else:
-        value = st.one_of(st.just(0), st.integers(-5, 5))
-    rows = draw(st.lists(st.lists(value, min_size=ncols, max_size=ncols),
-                         min_size=nrows, max_size=nrows))
-    a = (Matrix(field, [[field.of(x) for x in row] for row in rows]) if nrows
-         else Matrix.zero(field, 0, ncols))
-    b = [field.of(x) for x in draw(st.lists(value, min_size=nrows, max_size=nrows))]
+    a, _ = draw(matrix_pairs(field, nrows, ncols))
+    b = [field.of(x) for x in draw(st.lists(values(field), min_size=nrows, max_size=nrows))]
     return a, b
+
+
+def typed(values):
+    return [(x, type(x)) for x in values]
+
+
+def same(got, want):
+    """Same shape and entries with their types; `got` stores no zero."""
+    assert all(x for row in got.rows for x in row.values())
+    return (got.nrows, got.ncols) == (want.nrows, want.ncols) and typed_entries(got) == typed_entries(want)
+
+
+def read_from_rref(a, b):
+    """Everything read from `a.rref()`, with right-hand side `b`."""
+    R, pivots, rank = a.rref()
+    try:
+        inv = typed_entries(a.inverse())
+    except ValueError as e:
+        inv = str(e)
+    K = a.kernel_basis()
+    return ((R.nrows, R.ncols), typed_entries(R), pivots, rank, (K.nrows, K.ncols), typed_entries(K),
+            a.solve(b), a.solve(a.mul_vector([a.field.one] * a.ncols)), inv)
 
 
 @settings(max_examples=400, deadline=None)
 @given(ab=field_matrices())
 def test_sparse_kernel_matches_dense_reference(ab):
     a, b = ab
-    got = read_from_rref(a, b)
-    with patch.object(Matrix, "rref", ref_rref):
-        want = read_from_rref(a, b)
+    ref = DenseMatrix.of(a)
+    got, want = read_from_rref(a, b), read_from_rref(ref, b)
     assert got == want
+    assert typed(got[6] or []) == typed(want[6] or [])
+    assert all(x for R in (a.rref()[0], a.kernel_basis()) for row in R.rows for x in row.values())
     # forward elimination alone
-    _, pivots, rank = ref_rref(a)
-    assert (column_space_basis(a), a.rank()) == (pivots, rank)
+    assert (column_space_basis(a), a.rank()) == (ref.rref()[1], ref.rank())
+
+
+@settings(max_examples=300, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]), data=st.data())
+def test_matrix_methods_match_dense_reference(char, data):
+    field = Field(char)
+    nrows, ncols, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, ref = data.draw(matrix_pairs(field, nrows, ncols))
+    b, ref_b = data.draw(matrix_pairs(field, nrows, ncols))
+    c, ref_c = data.draw(matrix_pairs(field, ncols, k))
+    assert same(a, ref) and same(DenseMatrix.of(a).sparse(), ref)
+    assert DenseMatrix.of(a).sparse() == a and (a == b) == (ref == ref_b) and a != ref
+    assert [typed(a.column(j)) for j in range(ncols)] == [typed(col) for col in ref.columns()]
+    assert a.columns() == ref.columns() and a.is_zero() == ref.is_zero()
+    assert same(a.stack_columns(b), ref.stack_columns(ref_b))
+    rows = data.draw(st.lists(st.integers(0, nrows - 1), max_size=6)) if nrows else []
+    cols = data.draw(st.permutations(range(ncols)))[:data.draw(st.integers(0, ncols))]
+    assert same(a.submatrix(rows, cols), ref.submatrix(rows, cols))
+    assert same(a.mul(c), ref.mul(ref_c))
+    v = [field.of(x) for x in data.draw(st.lists(values(field), min_size=ncols, max_size=ncols))]
+    assert typed(a.mul_vector(v)) == typed(ref.mul_vector(v))
+    assert same(Matrix.identity(field, k), DenseMatrix.identity(field, k))
+    assert same(Matrix.zero(field, nrows, k), DenseMatrix.zero(field, nrows, k))
+    if nrows and ncols:
+        i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, ncols - 1))
+        x = field.of(data.draw(values(field)))
+        ref2 = DenseMatrix.of(ref)
+        ref2[i, j] = x
+        assert (ref2.sparse() == a) == (ref2 == ref)
+        with pytest.raises(IndexError):
+            a[i, ncols]
+        with pytest.raises(ValueError, match="repeated column index"):
+            a.submatrix(rows, [j, j])
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
@@ -249,5 +274,5 @@ def test_empty_shapes(char, shape):
     a = Matrix.zero(field, *shape)
     R, pivots, rank = a.rref()
     assert (R.nrows, R.ncols, pivots, rank, a.rank()) == (*shape, [], 0, 0)
-    assert typed(a.kernel_basis()) == typed(Matrix.identity(field, shape[1]))
+    assert same(a.kernel_basis(), Matrix.identity(field, shape[1]))
     assert a.solve([field.zero] * shape[0]) == [field.zero] * shape[1]

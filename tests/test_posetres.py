@@ -242,6 +242,21 @@ def test_poset_construction_betti_ranks(lattices):
     assert out.homogenized.betti_table(lat) == lat.betti_numbers(QQ)
 
 
+def test_output_checks_d2_itself_where_the_sequence_is_not_homogeneous(lattices):
+    # a construction joins an element only to elements below it, so its output is
+    # homogeneous and reuses verification's d^2 check; with the atoms relabelled
+    # the same maps are still a complex, but no longer homogeneous
+    from monres.posetres import _output
+
+    lat = lattices["hexagon"]
+    out = poset_construction(lat, QQ)
+    levels = [list(lv) for lv in out.labels]
+    levels[1].reverse()
+    bad = _output("poset", lat, HomologyBasis.canonical(lat, QQ), levels, out.matrices)
+    assert out.report.homogeneous and out.is_complex == out.report.complex
+    assert not bad.report.homogeneous and not bad.report.complex and bad.is_complex
+
+
 def test_poset_equals_rlm_for_hm(lattices):
     # homologically monotonic: the two definitions coincide
     for name in ("triangle", "rigid4", "hexagon"):

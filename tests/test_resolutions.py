@@ -22,7 +22,7 @@ from monres.resolutions import (ChangeOfBasisError, MgBasisElement, MultigradedC
                                 taylor_basis_from_resolution, taylor_resolution,
                                 transport_via_betti_poset, verify_resolution)
 
-from conftest import LATTICES, is_taylor_chain_at, random_corpus
+from conftest import LATTICES, DenseMatrix, is_taylor_chain_at, random_corpus, typed_entries
 
 
 QQ = Field(0)
@@ -77,7 +77,7 @@ def ref_taylor_resolution(ideal, field):
     for size in range(1, ideal.r + 1):
         index = {A: j for j, A in enumerate(faces)}
         faces = list(combinations(range(1, ideal.r + 1), size))
-        fr = Matrix.zero(field, len(index), len(faces))
+        fr = DenseMatrix.zero(field, len(index), len(faces))
         lv = []
         for j, A in enumerate(faces):
             m = levels[-1][index[A[:-1]]].mdeg.lcm(ideal.generator(A[-1]))
@@ -100,8 +100,24 @@ def test_taylor_matches_own_loop_reference(char):
         assert T.frames[0] is None and len(T.frames) == len(ref.frames)
         for got, want in zip(T.frames[1:], ref.frames[1:]):
             assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-            assert ([[(x, type(x)) for x in row] for row in got.rows]
-                    == [[(x, type(x)) for x in row] for row in want.rows])
+            assert typed_entries(got) == typed_entries(want)
+
+
+def test_taylor_frames_store_only_their_nonzeros():
+    # r * 2^(r-1) = 24,576 boundary entries, against C(2r, r-1) = 2,496,144 cells at r = 12
+    r = 12
+    T = taylor_resolution(random_minimal_ideal(r, 5, 3, random.Random(3)), Field(32003))
+    stored = [x for fr in T.frames[1:] for row in fr.rows for x in row.values()]
+    assert len(stored) == r * 2 ** (r - 1) and all(stored)
+
+
+def test_minimize_taylor_at_fourteen_generators():
+    # (r, n, seed) = (14, 5, 4): 16,384 Taylor basis elements and 114,688 frame entries
+    field = Field(32003)
+    lat = LcmLattice.from_ideal(random_minimal_ideal(14, 5, 3, random.Random(4)))
+    C, _ = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
+    assert C.betti_table(lat) == lat.betti_numbers(field)
+    assert C.is_minimal()
 
 
 # -- consecutive cancellation -------------------------------------------
@@ -343,8 +359,8 @@ def test_basis_from_resolution_requires_generator_order(lattices):
     _, C = atomic_lattice_resolution(lat, QQ)
     swapped_levels = [list(lv) for lv in C.levels]
     swapped_levels[1][0], swapped_levels[1][1] = swapped_levels[1][1], swapped_levels[1][0]
-    frames = [None] + [f.copy() for f in C.frames[1:]]
-    frames[2] = Matrix(QQ, [C.frames[2].rows[1], C.frames[2].rows[0], C.frames[2].rows[2]])
+    frames = list(C.frames)
+    frames[2] = C.frames[2].submatrix([1, 0, 2], range(C.frames[2].ncols))
     swapped = MultigradedComplex(C.ideal, QQ, swapped_levels, frames)
     with pytest.raises(TaylorBasisError):
         taylor_basis_from_resolution(swapped, lat)
@@ -370,8 +386,9 @@ def test_verify_taylor_nonminimal(ideals):
 def test_verify_detects_broken_frame(lattices):
     lat = lattices["triangle"]
     _, C = atomic_lattice_resolution(lat, QQ)
-    bad_frames = [None] + [f.copy() for f in C.frames[1:]]
-    bad_frames[2].rows[0][0] = QQ.zero
+    broken = DenseMatrix.of(C.frames[2])
+    broken[0, 0] = QQ.zero
+    bad_frames = C.frames[:2] + [broken.sparse()] + C.frames[3:]
     bad = MultigradedComplex(C.ideal, QQ, C.levels, bad_frames)
     rep = verify_resolution(bad, lat)
     assert not rep.is_resolution
@@ -405,6 +422,11 @@ def test_verify_names_the_entry_where_homogeneity_fails(lattices):
     report = verify_resolution(MultigradedComplex(C.ideal, QQ, C.levels, C.frames[:3] + [bad]), lat)
     assert not report.homogeneous and not report.is_resolution
     assert report.summary().splitlines()[-1] == "homogeneity fails at map 3 entry (9, 2)"
+    # the first failing column in dense order, whatever order the row stores its entries in
+    rows = [dict(row) for row in d.rows]
+    rows[9] = {2: QQ.one, **rows[9], 1: QQ.one}
+    C2 = MultigradedComplex(C.ideal, QQ, C.levels, C.frames[:3] + [Matrix.sparse(QQ, d.ncols, rows)])
+    assert C2.homogeneity_failure() == (3, 9, 1)
 
 
 def test_verify_json_roundtrip(lattices):
@@ -509,10 +531,7 @@ def test_change_of_basis_scalar_rescale(lattices):
     _, C = atomic_lattice_resolution(lattices["four_gens"], QQ)
     Us = []
     for i, lv in enumerate(C.levels):
-        U = Matrix.identity(QQ, len(lv))
-        for j in range(len(lv)):
-            U.rows[j][j] = QQ.of(2 + i + j)
-        Us.append(U)
+        Us.append(Matrix.sparse(QQ, len(lv), [{j: QQ.of(2 + i + j)} for j in range(len(lv))]))
     D = change_of_basis(C, Us)
     for i in range(1, len(C.levels)):
         for r in range(C.frames[i].nrows):
@@ -674,7 +693,7 @@ def ref_consecutive_cancellation(C, i, q, p):
     inv_a = f.inv(a)
 
     new_levels = [list(lv) for lv in C.levels]
-    new_frames = [None] + [C.frames[k].copy() for k in range(1, len(C.levels))]
+    new_frames = list(C.frames)
 
     fp = C.levels[i][p]
     for v in range(A.ncols):
@@ -689,14 +708,14 @@ def ref_consecutive_cancellation(C, i, q, p):
 
     keep_rows = [u for u in range(A.nrows) if u != q]
     keep_cols = [v for v in range(A.ncols) if v != p]
-    corrected = Matrix.zero(f, len(keep_rows), len(keep_cols))
+    corrected = DenseMatrix.zero(f, len(keep_rows), len(keep_cols))
     for ui, u in enumerate(keep_rows):
         for vi, v in enumerate(keep_cols):
             val = A[u, v]
             if A[u, p] != f.zero and A[q, v] != f.zero:
                 val = f.sub(val, f.mul(f.mul(A[u, p], inv_a), A[q, v]))
             corrected.rows[ui][vi] = val
-    new_frames[i] = corrected
+    new_frames[i] = corrected.sparse()
     if i + 1 < len(new_levels):
         B = C.frames[i + 1]
         new_frames[i + 1] = B.submatrix(keep_cols, range(B.ncols))
@@ -815,15 +834,16 @@ def test_minimize_rescans_rows_the_correction_makes_units():
 
 
 def test_minimize_builds_one_matrix_per_level(monkeypatch):
-    # no per-step frame copies: only the emitted frames are built
+    # no per-step frame copies: the emitted frames are the only matrices built;
+    # every Matrix but a dense-input one comes from Matrix.sparse
     lat = LcmLattice.from_ideal(random_minimal_ideal(7, 4, 3, random.Random(5)))
     T = taylor_resolution(lat.ideal, QQ)
-    zero, copy = Matrix.zero, Matrix.copy
+    sparse, init = Matrix.sparse, Matrix.__init__
 
     def matrices_built(minimize):
         built = []
-        monkeypatch.setattr(Matrix, "zero", staticmethod(lambda *a: built.append(a) or zero(*a)))
-        monkeypatch.setattr(Matrix, "copy", lambda m: built.append(m) or copy(m))
+        monkeypatch.setattr(Matrix, "sparse", staticmethod(lambda *a: built.append(a) or sparse(*a)))
+        monkeypatch.setattr(Matrix, "__init__", lambda m, *a: built.append(a) or init(m, *a))
         C, _ = minimize(T, lat)
         monkeypatch.undo()
         return len(built), C
@@ -831,7 +851,7 @@ def test_minimize_builds_one_matrix_per_level(monkeypatch):
     count, C = matrices_built(minimize_resolution)
     ref_count, D = matrices_built(ref_minimize_resolution)
     assert C.rank_vector() == D.rank_vector() != T.rank_vector()
-    assert count <= len(T.levels) < ref_count
+    assert count == len(C.levels) - 1 < len(T.levels) < ref_count
 
 
 @pytest.mark.parametrize("char", [0, 32003])

@@ -13,7 +13,7 @@ from monres.resolutions import atomic_lattice_resolution
 from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure, in_complex,
                              is_exact_closure_of, reduced_homology, reduced_homology_dims)
 
-from conftest import random_based_complex, random_corpus
+from conftest import random_based_complex, random_corpus, typed_entries
 
 
 QQ = Field(0)
@@ -282,10 +282,6 @@ def facet_lists(draw):
     return facets
 
 
-def typed_rows(m):
-    return [[(x, type(x)) for x in row] for row in m.rows]
-
-
 @settings(max_examples=300, deadline=None)
 @given(char=st.sampled_from([0, 2, 32003]), facets=facet_lists())
 @example(char=0, facets=[])
@@ -299,7 +295,7 @@ def test_complex_of_facets_matches_boundary_reference(char, facets):
     assert len(cx.maps) == len(ref.maps) and cx.maps[0] is None
     for got, want in zip(cx.maps[1:], ref.maps[1:]):
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-        assert typed_rows(got) == typed_rows(want)
+        assert typed_entries(got) == typed_entries(want)
 
 
 def test_complex_of_facets_rejects_repeated_vertices():
