@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from monres.lattice import LcmLattice
-from monres.linalg import Field, Matrix, column_space_basis
+from monres.linalg import Field
 from monres.posetres import (HomologyBasis, poset_construction, rlm_construction,
                              rlm_symbolic, certified_constant_rank)
 # lift_cycle_in_simplex is only re-exported: bench/test_bench.py checks, on
@@ -163,36 +163,10 @@ def is_betti_linear(lat: LcmLattice, field: Field) -> ClassVerdict:
 
 def lattice_linear_greedy(lat: LcmLattice, field: Field):
     """Greedy certificate run: every exact-closure cycle must be spanned by
-    chains at elements covered by m.  Returns (ok, witness element id)."""
-
-    def covered_cycles(e, U, elts):
-        covered = set(e.covers)
-        picks = {}
-        for level in range(U.length + 1):
-            mu = U.homology_dim(level)
-            if mu == 0:
-                continue
-            cov_pos = [j for j, m in enumerate(elts[level]) if m in covered]
-            d_i = U.differential(level)
-            if level == 0:
-                kernel_cols = Matrix.identity(field, len(cov_pos)).columns() if cov_pos else []
-            else:
-                kernel_cols = d_i.submatrix(range(d_i.nrows), cov_pos).kernel_basis().columns()
-            embedded = []
-            for col in kernel_cols:
-                v = [field.zero] * U.level_dim(level)
-                for val, j in zip(col, cov_pos):
-                    v[j] = val
-                embedded.append(v)
-            d_up = U.differential(level + 1)
-            both = d_up.stack_columns(Matrix.from_columns(field, d_up.nrows, embedded))
-            picked = [embedded[p - d_up.ncols] for p in column_space_basis(both) if p >= d_up.ncols]
-            if len(picked) < mu:
-                return None
-            picks[level] = picked[:mu]
-        return picks
-
-    _, blocked = closure_walk(lat, field, covered_cycles)
+    chains at elements covered by m: the canonical cycles on their columns
+    alone.  Returns (ok, witness element id)."""
+    _, blocked = closure_walk(lat, field, lambda e, U, elts, level: U.cycles(
+        level, [j for j, m in enumerate(elts[level]) if m in e.covers]))
     return blocked is None, blocked
 
 

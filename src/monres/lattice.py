@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import le
 
-from monres.linalg import Field
+from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
-from monres.vcomplex import complex_of_facets, reduced_homology, reduced_homology_dims
+from monres.vcomplex import class_in_homology, complex_of_facets, reduced_cycles, reduced_homology_dims
 
 MAX_ATOMS = 63
 
@@ -250,12 +250,29 @@ class LcmLattice:
         return cache[m_id]
 
     def homology_at(self, m_id: int, field: Field):
-        """dict dim -> (dim_k H~, representative Chains) for Delta_m; {} where it vanishes."""
+        """dict dim -> (dim_k H~, representative Chains) for Delta_m; {} where it vanishes.
+
+        The dims are `homology_dims_at`'s; Delta_m's cycles are picked at their levels alone.
+        """
         cache = self._homology_cache.setdefault(field.char, {})
         if m_id not in cache:
             dims = self.homology_dims_at(m_id, field)
-            cache[m_id] = reduced_homology(self.complex_at(m_id, field)) if dims else {}
+            cx = self.complex_at(m_id, field) if dims else None
+            cache[m_id] = {d: (n, reduced_cycles(cx, d)) for d, n in dims.items()}
         return cache[m_id]
+
+    def is_homology_basis(self, m_id: int, field: Field, d: int, cycles) -> bool:
+        """Whether the classes of the d-chains `cycles` form a basis of H~_d(Delta_m).
+
+        Their coordinates in `homology_at`'s basis come from `class_in_homology`,
+        which raises ValueError where a chain is not a cycle of Delta_m.
+        """
+        n, reps = self.homology_at(m_id, field).get(d, (0, []))
+        if len(cycles) != n:
+            return False
+        cx = self.complex_at(m_id, field)
+        coords = [class_in_homology(cx, c, reps) for c in cycles]
+        return Matrix.from_columns(field, n, coords).rank() == n
 
     def betti_poset_ids(self, field: Field):
         """Bottom plus every element with nonvanishing reduced homology."""

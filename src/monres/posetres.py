@@ -62,12 +62,10 @@ class HomologyBasis:
                 # the constructions fix the degree-1 map to the all-ones row,
                 # which pins the class of the empty chain at every atom
                 raise ValueError("the homology basis at dimension -1 is pinned to the empty chain")
-            hom = self.lattice.homology_at(m, self.field)
-            if d not in hom or hom[d][0] != len(chains):
-                raise ValueError(f"element {m}: expected {hom.get(d, (0,))[0]} classes in dimension {d}")
-            cx = self.lattice.complex_at(m, self.field)
-            coords = [class_in_homology(cx, c, hom[d][1]) for c in chains]
-            if Matrix.from_columns(self.field, len(chains), coords).rank() != len(chains):
+            want = self.lattice.homology_dims_at(m, self.field).get(d, 0)
+            if not want or want != len(chains):
+                raise ValueError(f"element {m}: expected {want} classes in dimension {d}")
+            if not self.lattice.is_homology_basis(m, self.field, d, chains):
                 raise ValueError(f"element {m}: given classes are dependent in homology")
             data[m][d] = list(chains)
         return HomologyBasis(self.lattice, self.field, data)

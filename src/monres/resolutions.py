@@ -19,7 +19,7 @@ from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
-from monres.vcomplex import BasedComplex, class_in_homology, complex_of_facets
+from monres.vcomplex import BasedComplex, complex_of_facets
 
 
 @dataclass
@@ -148,7 +148,11 @@ class MultigradedComplex:
             raise IdealParseError(f"{where}: {len(doc['frames'])} 'frames' for {len(doc['levels'])} 'levels'")
         field = Field(doc.get("char", 0))
         names = doc["vars"]
-        ideal = MonomialIdeal(names, [parse_monomial(g, names) for g in doc["gens"]])
+        gens = [parse_monomial(g, names) for g in doc["gens"]]
+        try:
+            ideal = MonomialIdeal(names, gens)
+        except ValueError as e:
+            raise IdealParseError(f"{where}: {e}") from e
         levels = []
         for i, lv in enumerate(doc["levels"]):
             levels.append([])
@@ -484,16 +488,14 @@ class ClosureChains:
             by_level.setdefault(self.chains[k].dim + 1, []).append(k)
         top = max(by_level) if by_level else 0
         labels = [by_level.get(h, []) for h in range(top + 1)]
-        pos = {k: (h, j) for h in range(top + 1) for j, k in enumerate(labels[h])}
+        pos = {k: j for lv in labels for j, k in enumerate(lv)}
         maps: list = [None]
         for h in range(1, top + 1):
-            cols = []
-            for k in labels[h]:
-                col = [f.zero] * len(labels[h - 1])
+            rows: list = [{} for _ in labels[h - 1]]
+            for j, k in enumerate(labels[h]):
                 for tgt, coeff in self.dexp[k]:
-                    col[pos[tgt][1]] = coeff
-                cols.append(col)
-            maps.append(Matrix.from_columns(f, len(labels[h - 1]), cols))
+                    rows[pos[tgt]][j] = coeff
+            maps.append(Matrix.sparse(f, len(labels[h]), rows))
         return BasedComplex(f, labels, maps), labels
 
 
@@ -501,28 +503,33 @@ def closure_walk(lat: LcmLattice, field: Field, pick):
     """Build chains element by element, lifting the cycles a strategy picks.
 
     Starts from the empty chain at the bottom and the vertex {i} at the
-    i-th atom, then visits the elements of rank >= 2 in element order.
-    At each element e it forms the based complex U of the chains strictly
-    below e and calls ``pick(e, U, elts)``, where ``elts[i][j]`` is the
-    element of U's basis vector j at level i.  `pick` returns
-    ``{level: [cycle vectors in U's level coordinates]}`` or None to stop;
-    each picked cycle is lifted into the simplex on A_e and recorded at e.
+    i-th atom, then visits, in element order, the elements e of rank >= 2
+    with nonzero dims = `LcmLattice.homology_dims_at`.  The chains strictly
+    below e form a based complex U with dim H_{d+1}(U) = dims[d] (the
+    lcm-lattice homology formula of Gasharov-Peeva-Welker), so nothing is
+    added elsewhere.  For each d in dims it calls ``pick(e, U, elts, d + 1)``,
+    where ``elts[i][j]`` is the element of U's basis vector j at level i, for
+    cycle vectors in U's level-(d+1) coordinates.  If every level gave dims[d]
+    of them, each is lifted into the simplex on A_e and recorded at e;
+    otherwise the walk stops at e.
 
-    Returns ``(ClosureChains, id of the element where pick stopped, or None)``.
+    Returns ``(ClosureChains, id of the element where the walk stopped, or None)``.
     """
     run = ClosureChains(field)
     bot = run.add(Chain.from_face(field, ()), lat.bottom, [])
     for i, atom in enumerate(lat.atom_ids, start=1):
         run.add(Chain.from_face(field, (i,)), atom, [(bot, field.one)])
     for e in lat.elements:
-        if e.rank < 2:
+        dims = lat.homology_dims_at(e.id, field) if e.rank >= 2 else {}
+        if not dims:
             continue
         U, labels = run.complex_on([k for k, m in enumerate(run.elt) if lat.lt(m, e.id)])
-        picks = pick(e, U, [[run.elt[k] for k in lv] for lv in labels])
-        if picks is None:
+        elts = [[run.elt[k] for k in lv] for lv in labels]
+        picks = {d + 1: pick(e, U, elts, d + 1) for d in sorted(dims)}
+        if any(len(picks[d + 1]) != n for d, n in dims.items()):
             return run, e.id
-        for level in sorted(picks):
-            for vec in picks[level]:
+        for level, vecs in picks.items():
+            for vec in vecs:
                 z = Chain.combine(field, [(c, run.chains[k]) for c, k in zip(vec, labels[level])],
                                   dim=level - 1)
                 dexp = [(k, c) for c, k in zip(vec, labels[level]) if c != field.zero]
@@ -530,24 +537,19 @@ def closure_walk(lat: LcmLattice, field: Field, pick):
     return run, None
 
 
-def _closure_cycles(e, U, elts):
-    """The cycles that the exact closure of U adds: its homology representatives by level.
-
-    U is a complex by construction, so `exact_closure`'s check is skipped.
-    """
-    reps = {i: U.homology(i)[1] for i in range(U.length + 1)}
-    return {i: cycles for i, cycles in reps.items() if cycles}
-
-
 def atomic_lattice_resolution(lat: LcmLattice, field: Field):
     """Build a minimal free resolution element by element via exact closures.
 
     Returns ``(TaylorBasis, MultigradedComplex)``.  Processing order is
     the canonical linear extension (atoms in generator order, then the
-    degree-then-lex element order); every choice inside is canonical, so
-    the output is deterministic.
+    degree-then-lex element order); every choice inside is canonical
+    (`BasedComplex.cycles`), so the output is deterministic.  An element
+    where the walk stops is named in a ValueError.
     """
-    run, _ = closure_walk(lat, field, _closure_cycles)
+    run, stop = closure_walk(lat, field, lambda e, U, elts, level: U.cycles(level))
+    if stop is not None:
+        raise ValueError(f"element {sorted(lat.element(stop).A)}: the chains below it "
+                         "do not have the homology of Delta_m")
     F, labels = run.complex_on(range(len(run.chains)))
     levels = [[MgBasisElement(run.chains[k], lat.element(run.elt[k]).mdeg, h) for k in lv]
               for h, lv in enumerate(labels)]
@@ -624,14 +626,11 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
                 )
             if not got:
                 continue
-            cx, hom = lat.complex_at(e.id, field), lat.homology_at(e.id, field)
-            coords = []
-            for c in got:
-                try:
-                    coords.append(class_in_homology(cx, boundary(c), hom[d][1]))
-                except ValueError as err:
-                    raise TaylorBasisError(f"element {e.id}: boundary leaves the complex: {err}", e.id)
-            if Matrix.from_columns(field, want, coords).rank() != want:
+            try:
+                basis = lat.is_homology_basis(e.id, field, d, [boundary(c) for c in got])
+            except ValueError as err:
+                raise TaylorBasisError(f"element {e.id}: boundary leaves the complex: {err}", e.id)
+            if not basis:
                 raise TaylorBasisError(f"element {e.id}: boundary classes are dependent in homology", e.id)
 
     # assemble levels in the given order and solve each boundary in the span

@@ -22,6 +22,7 @@ class BasedComplex:
     ``(len(labels[i-1]), len(labels[i]))``; ``maps[0]`` is None.  Maps
     are immutable by convention, so each one's rank is computed at most
     once, on first use, and homology dimensions are read from the ranks.
+    Cycle representatives come from `cycles`, which ranks nothing.
     """
 
     def __init__(self, field: Field, labels, maps):
@@ -74,20 +75,29 @@ class BasedComplex:
         return self.level_dim(i) - self.rank(i) - self.rank(i + 1)
 
     def homology(self, i: int):
-        """(dimension, canonical cycle representatives) at level i.
+        """(dimension, canonical cycle representatives) at level i; see `cycles`.
 
-        Representatives are coordinate vectors in level i: the kernel
-        basis vectors of d_i that are pivots of ``[image of d_{i+1} | kernel]``,
-        i.e. the echelon completion of the image to a kernel basis.  They
-        are built only where the dimension is nonzero.
+        Representatives are built only where the dimension is nonzero.
         """
         mu = self.homology_dim(i)
-        if mu == 0:
-            return 0, []
-        K = Matrix.identity(self.field, self.level_dim(i)) if i == 0 else self.maps[i].kernel_basis()
+        return mu, self.cycles(i) if mu else []
+
+    def cycles(self, i: int, cols=None):
+        """Canonical cycles at level i, as coordinate vectors in level i.
+
+        They are the kernel basis vectors of d_i (on its columns `cols` alone
+        when given, zero elsewhere) that are pivots of ``[image of d_{i+1} | kernel]``,
+        i.e. the echelon completion of the image; with `cols` None, one per
+        homology class at level i.
+        """
+        cols = range(self.level_dim(i)) if cols is None else cols
+        d = self.differential(i).submatrix(range(self.level_dim(i - 1)), cols)
+        K = Matrix.identity(self.field, len(cols)) if i == 0 else d.kernel_basis()
+        at = dict(zip(cols, K.rows))
+        K = Matrix.sparse(self.field, K.ncols, [at.get(j, {}) for j in range(self.level_dim(i))])
         d_up = self.differential(i + 1)
         pivots = column_space_basis(d_up.stack_columns(K))
-        return mu, [K.column(p - d_up.ncols) for p in pivots if p >= d_up.ncols]
+        return [K.column(p - d_up.ncols) for p in pivots if p >= d_up.ncols]
 
     def is_exact(self) -> bool:
         return all(self.homology_dim(i) == 0 for i in range(self.length + 1))
@@ -218,13 +228,13 @@ def complex_of_facets(field: Field, facets) -> BasedComplex:
 
 def reduced_homology(cx: BasedComplex):
     """Of a face-labelled complex: dict d -> (dim_k H~_d, canonical representative Chains)."""
-    out = {}
-    for level in range(cx.length + 1):
-        mu, reps = cx.homology(level)
-        if mu:
-            faces = cx.labels[level]
-            out[level - 1] = (mu, [Chain(cx.field, zip(faces, rep), dim=level - 1) for rep in reps])
-    return out
+    return {d: (n, reduced_cycles(cx, d)) for d, n in reduced_homology_dims(cx).items()}
+
+
+def reduced_cycles(cx: BasedComplex, d: int):
+    """Of a face-labelled complex: the canonical cycles of `BasedComplex.cycles` at
+    level d+1, as Chains; one per class of H~_d."""
+    return [Chain(cx.field, zip(cx.labels[d + 1], z), dim=d) for z in cx.cycles(d + 1)]
 
 
 def reduced_homology_dims(cx: BasedComplex):

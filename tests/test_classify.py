@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import monres.classify as classify_module
 from monres.chains import Chain
-from monres.classify import (IMPLICATIONS, classify, is_homologically_monotonic,
+from monres.classify import (IMPLICATIONS, classify, is_homologically_monotonic, is_lattice_linear,
                              lattice_linear_greedy)
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
@@ -130,6 +130,12 @@ def test_greedy_lattice_linear_runs(lattices):
     assert ok
     ok, witness = lattice_linear_greedy(lattices["rigid4"], QQ)
     assert not ok and witness == lattices["rigid4"].top
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_unknown_lattice_linear_names_the_blocking_element(lattices, char):
+    verdict = is_lattice_linear(lattices["rigid4"], Field(char))
+    assert str(verdict) == "unknown (greedy run blocked at [1, 2, 3, 4])"
 
 
 def test_corpus_diagram_consistency():

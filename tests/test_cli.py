@@ -299,6 +299,19 @@ def _complex_doc(capsys, ideal_file):
     return json.loads(out)
 
 
+@pytest.mark.parametrize("vars_, gens, message", [
+    (["x", "y", "x"], ["x*y", "y^2"], "duplicate variable 'x'"),
+    (["x", "y"], ["x", "x*y"], "non-minimal generators: x divides x*y"),
+])
+def test_complex_dump_naming_no_ideal_is_parse_error(capsys, ideal_file, tmp_path, vars_, gens, message):
+    # as for a lattice dump: a resolution dump whose ideal cannot be built is malformed input
+    dump = tmp_path / "bad.json"
+    dump.write_text(json.dumps({**_complex_doc(capsys, ideal_file), "vars": vars_, "gens": gens}))
+    assert main(["verify", str(dump)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: the complex JSON: {message}\n"
+
+
 @pytest.mark.parametrize("key, breakage", [
     pytest.param("frames", lambda d: {**d, "frames": d["frames"] + [[]]}, id="extra-frame"),
     pytest.param("frames", lambda d: {**d, "frames": d["frames"][:-1]}, id="missing-frame"),

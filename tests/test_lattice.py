@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import monres.lattice as lattice_module
-from monres.classify import classify
+from monres.classify import classify, lattice_linear_greedy
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import Monomial, MonomialIdeal, random_minimal_ideal
-from monres.resolutions import (atomic_lattice_resolution, minimize_resolution,
-                                taylor_resolution, verify_resolution)
+from monres.resolutions import (ClosureChains, atomic_lattice_resolution, closure_walk,
+                                minimize_resolution, taylor_resolution, verify_resolution)
 from monres.vcomplex import complex_of_facets, reduced_homology
 
 from conftest import LATTICES, random_corpus
@@ -416,6 +416,67 @@ def test_betti_routes_agree(case):
     assert M.betti_table(lat) == table
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=generated_lattices(7))
+def test_chains_below_each_element_have_its_homology(case):
+    # the lcm-lattice homology formula that closure_walk relies on: below
+    # every element of rank >= 2, visited by the walk or not, the chains of
+    # the atomic resolution have H_L = H~_{L-1}(Delta_m) at every level L
+    field, lat = case
+    run, stop = closure_walk(lat, field, lambda e, U, elts, level: U.cycles(level))
+    assert stop is None
+    for e in lat.elements:
+        if e.rank < 2:
+            continue
+        U, _ = run.complex_on([k for k, m in enumerate(run.elt) if lat.lt(m, e.id)])
+        dims = lat.homology_dims_at(e.id, field)
+        assert all(U.homology_dim(L) == dims.get(L - 1, 0) for L in range(U.length + 2)), sorted(e.A)
+        assert max(dims, default=-1) <= U.length, sorted(e.A)
+
+
+@pytest.mark.parametrize("change", [1, -1], ids=["add", "drop"])
+def test_atomic_resolution_names_the_element_whose_dims_disagree(lattices, monkeypatch, change):
+    # the triangle's top has H~_0 of dimension 2; claim one class more or less there
+    lat = LcmLattice.from_ideal(lattices["triangle"].ideal)
+    real = LcmLattice.homology_dims_at
+
+    def changed(self, m_id, field):
+        dims = dict(real(self, m_id, field))
+        if m_id == lat.top:
+            dims[0] += change
+        return dims
+
+    monkeypatch.setattr(LcmLattice, "homology_dims_at", changed)
+    with pytest.raises(ValueError, match=r"^element \[1, 2, 3\]: "):
+        atomic_lattice_resolution(lat, QQ)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_walks_and_homology_at_rank_nothing_once_the_dims_are_known(monkeypatch, char):
+    lat, field = LcmLattice.from_ideal(random_minimal_ideal(10, 5, 3, random.Random(4))), Field(char)
+    betti = [e.id for e in lat.elements if e.rank >= 2 and lat.homology_dims_at(e.id, field)]
+    ranks, complexes = [], []
+
+    def counting(calls, call):
+        def wrapped(*args):
+            calls.append(args)
+            return call(*args)
+        return wrapped
+
+    monkeypatch.setattr(Matrix, "rank", counting(ranks, Matrix.rank))
+    monkeypatch.setattr(ClosureChains, "complex_on", counting(complexes, ClosureChains.complex_on))
+    atomic_lattice_resolution(lat, field)
+    # one complex below each element with homology, and the resolution's own
+    assert len(complexes) == len(betti) + 1 and len(betti) < len(lat) - 1 - len(lat.atom_ids)
+    complexes.clear()
+    ok, blocked = lattice_linear_greedy(lat, field)
+    assert len(complexes) == (len(betti) if ok else betti.index(blocked) + 1)
+    for e in lat.elements:
+        if e.id != lat.bottom:
+            lat.homology_at(e.id, field)
+    assert ranks == []
+
+
 # the Stanley-Reisner ideal of the 6-vertex real projective plane: its
 # minimal non-faces, 10 triangles, as square-free cubics in 6 variables
 RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -443,12 +504,12 @@ def test_betti_numbers_of_rp2_depend_on_the_characteristic():
 def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
     # betti_numbers reduces one model per element, ranks alone, and calls no complex_at
     lat = LcmLattice.from_ideal(random_minimal_ideal(9, 3, 3, random.Random(6)))
-    reduced, models, delta = [], [], []
+    picked, models, delta = [], [], []
 
-    def counting(calls, reduce):
-        def wrapped(cx):
-            calls.append(cx)
-            return reduce(cx)
+    def counting(calls, call):
+        def wrapped(*args):
+            calls.append(args)
+            return call(*args)
         return wrapped
 
     def counting_complex_at(self, m_id, field):
@@ -456,25 +517,28 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
         return complex_at(self, m_id, field)
 
     complex_at = LcmLattice.complex_at
-    monkeypatch.setattr(lattice_module, "reduced_homology",
-                        counting(reduced, lattice_module.reduced_homology))
+    monkeypatch.setattr(lattice_module, "reduced_cycles",
+                        counting(picked, lattice_module.reduced_cycles))
     monkeypatch.setattr(lattice_module, "reduced_homology_dims",
                         counting(models, lattice_module.reduced_homology_dims))
     monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
     table = lat.betti_numbers(QQ)
-    assert delta == reduced == [] and len(models) == len(lat) - 1
+    assert delta == picked == [] and len(models) == len(lat) - 1
     assert lat.betti_numbers(QQ) == table
-    assert delta == reduced == [] and len(models) == len(lat) - 1
-    # representatives: {} at once where the dims vanish, Delta_m once where they do not
+    assert delta == picked == [] and len(models) == len(lat) - 1
+    # representatives: {} at once where the dims vanish; where they do not,
+    # Delta_m once and its cycles once at each level the dims name
     ids = [e.id for e in lat.elements if e.id != lat.bottom]
     zero = [m for m in ids if not lat.homology_dims_at(m, QQ)]
     betti = [m for m in ids if lat.homology_dims_at(m, QQ)]
     assert zero and betti
-    assert all(lat.homology_at(m, QQ) == {} for m in zero) and delta == reduced == []
+    assert all(lat.homology_at(m, QQ) == {} for m in zero) and delta == picked == []
     for _ in range(2):
         for m in betti:
             assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
-    assert delta == betti and len(reduced) == len(betti) and len(models) == len(lat) - 1
+    assert delta == betti and len(models) == len(lat) - 1
+    assert picked == [(lat.complex_at(m, QQ), d) for m in betti
+                            for d in lat.homology_dims_at(m, QQ)]
 
 
 def test_homology_dims_reduce_the_smaller_of_delta_and_the_nerve(monkeypatch):
