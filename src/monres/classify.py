@@ -24,7 +24,7 @@ from monres.posetres import (HomologyBasis, poset_construction, rlm_construction
                              rlm_symbolic, certified_constant_rank)
 # lift_cycle_in_simplex is only re-exported: bench/test_bench.py checks, on
 # this binding, that the tracer also patches a function another module bound.
-from monres.resolutions import closure_walk, lift_cycle_in_simplex  # noqa: F401
+from monres.resolutions import closure_walk, first_inexact_element, lift_cycle_in_simplex  # noqa: F401
 
 
 @dataclass
@@ -233,37 +233,17 @@ def _certify_exactness_all_choices(sym) -> bool:
     Uses constant-pivot elimination: if every restricted matrix has a
     parameter-independent rank and the rank bookkeeping gives vanishing
     homology (H0 of the restriction included), the construction is a
-    resolution for every parameter value.
+    resolution for every parameter value.  A rank that is not certified
+    stops the restricted-exactness walk `first_inexact_element`.
     """
     lat, field = sym.lat, sym.field
-    for e in lat.elements:
-        if e.id == lat.bottom:
-            continue
-        keep = []
-        for lv in sym.levels:
-            keep.append([idx for idx, (m, _, _) in enumerate(lv)
-                         if lat.leq(m, e.id)])
-        top = len(sym.levels) - 1
-        while top > 0 and not keep[top]:
-            top -= 1
-        ranks = [0] * (top + 2)
-        for i in range(1, top + 1):
-            rows = keep[i - 1]
-            cols = keep[i]
-            sub = [[sym.matrices[i][r][c] for c in cols] for r in rows]
-            if not rows or not cols:
-                ranks[i] = 0
-                if any(not sym.matrices[i][r][c].is_zero() for r in rows for c in cols):
-                    return False
-                continue
-            rank, certified = certified_constant_rank(field, sub)
-            if not certified:
-                return False
-            ranks[i] = rank
-        for i in range(0, top + 1):
-            if len(keep[i]) != ranks[i] + ranks[i + 1]:
-                return False
-    return True
+
+    def rank(i, rows, cols):
+        r, certified = certified_constant_rank(field, [[sym.matrices[i][u][v] for v in cols] for u in rows])
+        return r if certified else None
+
+    mdegs = [[lat.element(m).mdeg.exponents for m, _, _ in lv] for lv in sym.levels]
+    return first_inexact_element(lat, mdegs, rank) is None
 
 
 def analyse_rlm(lat: LcmLattice, field: Field) -> RlmAnalysis:

@@ -164,7 +164,7 @@ def _choice_entries(doc, key, fields):
     for k, entry in enumerate(entries):
         where = f"{key} entry {k} in the choices file"
         json_object(entry, {"A": (list, int), **fields}, where)
-        if not isinstance(entry.get("j", 0), int):
+        if type(entry.get("j", 0)) is not int:
             raise IdealParseError(f"{where}: 'j' is not an int")
     return entries
 
@@ -196,12 +196,7 @@ def _emit_construction(args, lat, out):
     }
     if args.json:
         doc = json.loads(out.homogenized.to_json())
-        doc["scalar_matrices"] = [
-            [[out.homogenized.field.to_str(out.matrices[i][r, c])
-              for c in range(out.matrices[i].ncols)]
-             for r in range(out.matrices[i].nrows)]
-            for i in range(1, len(out.labels))
-        ]
+        doc["scalar_matrices"] = doc["frames"]  # out.matrices are the homogenized frames
         doc["verdicts"] = verdict
         _print(json.dumps(doc, indent=2))
     else:

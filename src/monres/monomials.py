@@ -14,6 +14,8 @@ import random
 import re
 from dataclasses import dataclass
 
+from monres.linalg import Field
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -175,13 +177,14 @@ def json_object(value, fields, where: str):
 
     `fields` maps a key to a type, or to (list, t) for a list of t.  A
     missing key or a wrong type is a parse error naming `where` and the key.
+    Types match exactly, so a JSON boolean is not an int.
     """
     if not isinstance(value, dict):
         raise IdealParseError(f"{where} is not an object")
     for key, kind in fields.items():
         kind, item = kind if isinstance(kind, tuple) else (kind, None)
         v = value.get(key)
-        if not isinstance(v, kind) or (item and not all(isinstance(x, item) for x in v)):
+        if type(v) is not kind or (item and any(type(x) is not item for x in v)):
             what = kind.__name__ + (f" of {item.__name__}" if item else "")
             raise IdealParseError(f"{where}: {key!r} is missing or not a {what}")
     return value
@@ -222,6 +225,10 @@ def parse_ideal_text(text: str, minimize: bool = False):
             if len(rest) != 1 or not rest[0].isdigit():
                 raise IdealParseError("char expects one integer", lineno)
             char = int(rest[0])
+            try:
+                Field(char)
+            except ValueError as e:
+                raise IdealParseError(str(e), lineno) from e
         else:
             raise IdealParseError(f"unknown statement {head!r}", lineno)
     if gen_tokens is None:

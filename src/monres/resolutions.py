@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from operator import le
+from operator import itemgetter, le
 
 from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
@@ -142,7 +142,7 @@ class MultigradedComplex:
         where = "the complex JSON"
         doc = json_object(json.loads(text), {"vars": (list, str), "gens": (list, str),
                                              "levels": (list, list), "frames": (list, list)}, where)
-        if not isinstance(doc.get("char", 0), int):
+        if type(doc.get("char", 0)) is not int:
             raise IdealParseError(f"{where}: 'char' is not an int")
         if len(doc["frames"]) != len(doc["levels"]) - 1:
             raise IdealParseError(f"{where}: {len(doc['frames'])} 'frames' for {len(doc['levels'])} 'levels'")
@@ -211,21 +211,29 @@ def _format_s_entry(field: Field, scalar, quot: Monomial, names) -> str:
 
 
 class TaylorBasis:
-    """Chains grouped by lattice element, with an explicit global order."""
+    """(element id, chain) pairs in basis order; ``by_elt`` groups the chains by element."""
 
-    def __init__(self, lattice: LcmLattice, chains_by_elt, order=None):
+    def __init__(self, lattice: LcmLattice, pairs):
         self.lattice = lattice
-        self.by_elt = {m: list(cs) for m, cs in chains_by_elt.items()}
-        if order is None:
-            order = [(m, k) for m in sorted(self.by_elt) for k in range(len(self.by_elt[m]))]
-        self.order = list(order)
+        self._pairs = list(pairs)
+        self.by_elt: dict = {}
+        for m, c in self._pairs:
+            self.by_elt.setdefault(m, []).append(c)
+
+    @staticmethod
+    def of(lattice: LcmLattice, chains) -> "TaylorBasis":
+        """The chains in the given order, each at the closure of its support.
+
+        This is the one placement rule: the empty chain lands at the bottom.
+        """
+        return TaylorBasis(lattice, [(lattice.closure_id(support(c)), c) for c in chains])
 
     def chains_at(self, m_id: int):
         return list(self.by_elt.get(m_id, []))
 
     def flat(self):
         """(element id, chain) pairs in the basis order."""
-        return [(m, self.by_elt[m][k]) for m, k in self.order]
+        return list(self._pairs)
 
     def chains(self):
         return [c for _, c in self.flat()]
@@ -425,16 +433,10 @@ def minimize_resolution(C: MultigradedComplex, lat: LcmLattice | None = None):
         C = frames.complex()
     if lat is None:
         lat = LcmLattice.from_ideal(C.ideal)
-    by_elt: dict = {}
-    order = []
-    for lv in C.levels:
-        for e in lv:
-            if not isinstance(e.label, Chain):
-                raise ValueError("minimization bookkeeping needs chain labels")
-            m = lat.closure_id(support(e.label)) if not e.label.is_zero() else lat.bottom
-            by_elt.setdefault(m, []).append(e.label)
-            order.append((m, len(by_elt[m]) - 1))
-    return C, TaylorBasis(lat, by_elt, order)
+    labels = [e.label for lv in C.levels for e in lv]
+    if not all(isinstance(c, Chain) for c in labels):
+        raise ValueError("minimization bookkeeping needs chain labels")
+    return C, TaylorBasis.of(lat, labels)
 
 
 # -- the atomic lattice resolution ---------------------------------------
@@ -554,10 +556,7 @@ def atomic_lattice_resolution(lat: LcmLattice, field: Field):
     levels = [[MgBasisElement(run.chains[k], lat.element(run.elt[k]).mdeg, h) for k in lv]
               for h, lv in enumerate(labels)]
     C = MultigradedComplex(lat.ideal, field, levels, F.maps)
-    by_elt: dict = {}
-    for c, m in zip(run.chains, run.elt):
-        by_elt.setdefault(m, []).append(c)
-    return TaylorBasis(lat, by_elt), C
+    return TaylorBasis(lat, sorted(zip(run.elt, run.chains), key=itemgetter(0))), C
 
 
 # -- Taylor bases <-> resolutions -----------------------------------------
@@ -584,13 +583,10 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
     if not flat:
         raise TaylorBasisError("empty basis")
     field = flat[0].field
-
-    placed = []  # (elt_id, chain) in given order
-    for c in flat:
-        if c.is_zero():
-            raise TaylorBasisError("zero chain in basis")
-        m = lat.closure_id(support(c)) if c.dim >= 0 else lat.bottom
-        placed.append((m, c))
+    if any(c.is_zero() for c in flat):
+        raise TaylorBasisError("zero chain in basis")
+    basis = TaylorBasis.of(lat, flat)
+    placed, by_elt = basis.flat(), basis.by_elt
 
     bottoms = [c for m, c in placed if m == lat.bottom]
     if len(bottoms) != 1 or bottoms[0].terms != {(): field.one}:
@@ -599,10 +595,6 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
         at = [c for m, c in placed if m == atom]
         if len(at) != 1 or at[0].terms != {(i,): field.one}:
             raise TaylorBasisError(f"basis must contain exactly the vertex {{{i}}} at generator {i}", atom)
-
-    by_elt: dict = {}
-    for m, c in placed:
-        by_elt.setdefault(m, []).append(c)
 
     # homology-basis condition at every element of rank >= 2
     for e in lat.elements:
@@ -694,13 +686,6 @@ def taylor_basis_from_resolution(C: MultigradedComplex, lat: LcmLattice | None =
 
     built: list[list[Chain]] = [[Chain.from_face(field, ())],
                                 [Chain.from_face(field, (i,)) for i in range(1, ideal.r + 1)]]
-    order = []
-    by_elt: dict = {lat.bottom: [built[0][0]]}
-    order.append((lat.bottom, 0))
-    for i, atom in enumerate(lat.atom_ids):
-        by_elt[atom] = [built[1][i]]
-        order.append((atom, 0))
-
     for h in range(2, C.length + 1):
         prev = built[h - 1]
         new_level = []
@@ -718,14 +703,11 @@ def taylor_basis_from_resolution(C: MultigradedComplex, lat: LcmLattice | None =
                 fchain = lift_cycle_in_simplex(field, z, vertex_set)
             except ValueError as err:
                 raise TaylorBasisError(f"column cycle is not a boundary: {err}")
-            m = lat.closure_id(support(fchain))
-            if lat.element(m).mdeg != C.levels[h][col].mdeg:
+            if lat.element(lat.closure_id(support(fchain))).mdeg != C.levels[h][col].mdeg:
                 raise TaylorBasisError("recovered chain multidegree disagrees with the basis element")
             new_level.append(fchain)
-            by_elt.setdefault(m, []).append(fchain)
-            order.append((m, len(by_elt[m]) - 1))
         built.append(new_level)
-    return TaylorBasis(lat, by_elt, order)
+    return TaylorBasis.of(lat, [c for lv in built for c in lv])
 
 
 # -- verification -----------------------------------------------------
@@ -755,6 +737,33 @@ class VerificationReport:
         return "\n".join(lines + self.notes)
 
 
+def first_inexact_element(lat: LcmLattice, mdegs, rank):
+    """The first non-bottom element where a frame restricted below it is not exact, or None.
+
+    ``mdegs[i][j]`` is the exponent vector of basis element j at level i.  At
+    each element e, in element order, the restriction keeps the basis elements
+    whose exponent vector divides e's, without its trailing empty levels, and
+    ``rank(i, rows, cols)`` is the rank of map i on the kept rows and columns,
+    or None where it is not known.  Each map is ranked at most once, level by
+    level, and the walk stops at e at the first level i where
+    ``len(keep[i]) != rank(i) + rank(i + 1)`` or a rank is None.  A frame
+    resolves S/M iff every such restriction is exact (Peeva-Velasco).
+    """
+    for e in lat.elements:
+        if e.id == lat.bottom:
+            continue
+        bound = e.mdeg.exponents
+        keep = [[j for j, a in enumerate(lv) if all(map(le, a, bound))] for lv in mdegs]
+        while len(keep) > 1 and not keep[-1]:
+            keep.pop()
+        ranks = [0]
+        for i in range(len(keep)):
+            ranks.append(rank(i + 1, keep[i], keep[i + 1]) if i + 1 < len(keep) else 0)
+            if ranks[i + 1] is None or len(keep[i]) != ranks[i] + ranks[i + 1]:
+                return e.id
+    return None
+
+
 def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> VerificationReport:
     """PV criterion: homogeneity, d^2 = 0, restricted exactness on L_M, H0."""
     if lat is None:
@@ -780,13 +789,10 @@ def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> V
 
     restriction_failure = None
     if homogeneous and cx_ok:
-        for e in lat.elements:
-            if e.id == lat.bottom:
-                continue
-            sub = C.restrict_to(e.mdeg)
-            if not sub.is_exact():
-                restriction_failure = e.mdeg.to_str(ideal.names)
-                break
+        bad = first_inexact_element(lat, [[e.mdeg.exponents for e in lv] for lv in C.levels],
+                                    lambda i, rows, cols: C.frames[i].submatrix(rows, cols).rank())
+        if bad is not None:
+            restriction_failure = lat.element(bad).mdeg.to_str(ideal.names)
     else:
         restriction_failure = "(skipped: not a homogeneous complex)"
 

@@ -119,22 +119,17 @@ def exact_closure(U: BasedComplex):
         if mu:
             added[i + 1] = [(f"g[{i + 1}][{j}]", reps[j]) for j in range(mu)]
     top = U.length + (1 if (U.length + 1) in added else 0)
-    labels = []
+    labels = [(U.labels[i] if i <= U.length else []) + [lbl for lbl, _ in added.get(i, [])]
+              for i in range(top + 1)]
     maps: list = [None]
-    for i in range(top + 1):
-        labels.append(list(U.labels[i]) if i <= U.length else [])
-        labels[i].extend(lbl for lbl, _ in added.get(i, []))
     for i in range(1, top + 1):
-        rows = len(labels[i - 1])
-        base_rows = U.level_dim(i - 1)
-        cols = []
-        d_i = U.differential(i)
-        for j in range(U.level_dim(i)):
-            col = d_i.column(j)
-            cols.append(col + [f.zero] * (rows - base_rows))
-        for _, cycle in added.get(i, []):
-            cols.append(list(cycle) + [f.zero] * (rows - base_rows))
-        maps.append(Matrix.from_columns(f, rows, cols))
+        # U's rows, then zero rows for the generators added one level down
+        rows = [dict(row) for row in U.differential(i).rows] + [{} for _ in added.get(i - 1, [])]
+        for j, (_, cycle) in enumerate(added.get(i, []), start=U.level_dim(i)):
+            for r, x in enumerate(cycle):
+                if x:
+                    rows[r][j] = x
+        maps.append(Matrix.sparse(f, len(labels[i]), rows))
     V = BasedComplex(f, labels, maps)
     return V, added
 
@@ -145,36 +140,26 @@ def is_exact_closure_of(V: BasedComplex, U: BasedComplex) -> bool:
     U must be a based subcomplex of V (label inclusion); otherwise this
     raises ValueError.
     """
-    f = V.field
     positions = []
     for i in range(U.length + 1):
+        free: dict = {}
+        for j, lbl in enumerate(V.labels[i] if i <= V.length else []):
+            free.setdefault(lbl, []).append(j)
         pos = []
-        used = set()
         for lbl in U.labels[i]:
-            hit = None
-            for j, vl in enumerate(V.labels[i] if i <= V.length else []):
-                if j not in used and vl == lbl:
-                    hit = j
-                    break
-            if hit is None:
+            if not free.get(lbl):
                 raise ValueError(f"label {lbl!r} of level {i} not found in the ambient complex")
-            used.add(hit)
-            pos.append(hit)
+            pos.append(free[lbl].pop(0))
         positions.append(pos)
     # subcomplex check: V's differential restricted to U's labels is U's,
     # with no leakage outside U's rows
     for i in range(1, U.length + 1):
-        dV = V.differential(i)
-        dU = U.differential(i)
-        inside = set(positions[i - 1])
-        for cj, j in enumerate(positions[i]):
-            col = dV.column(j)
-            for rrow, val in enumerate(col):
-                if rrow in inside:
-                    if val != dU[positions[i - 1].index(rrow), cj]:
-                        raise ValueError("labels nested but differentials disagree")
-                elif val != f.zero:
-                    raise ValueError("U is not closed under the ambient differential")
+        dV, inside = V.differential(i), set(positions[i - 1])
+        if dV.submatrix(positions[i - 1], positions[i]) != U.differential(i):
+            raise ValueError("labels nested but differentials disagree")
+        outside = [r for r in range(dV.nrows) if r not in inside]
+        if not dV.submatrix(outside, positions[i]).is_zero():
+            raise ValueError("U is not closed under the ambient differential")
     if not V.is_exact():
         return False
     # U's kernels embed in V's, so they are equal exactly where their dimensions are

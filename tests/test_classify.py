@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import monres.classify as classify_module
 from monres.chains import Chain
-from monres.classify import (IMPLICATIONS, classify, is_homologically_monotonic, is_lattice_linear,
-                             lattice_linear_greedy)
+from monres.classify import (IMPLICATIONS, _certify_exactness_all_choices, classify,
+                             is_homologically_monotonic, is_lattice_linear, lattice_linear_greedy)
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import random_minimal_ideal
+from monres.posetres import Poly, rlm_symbolic
 from monres.resolutions import ClosureChains, lift_cycle_in_simplex
 
 from conftest import random_corpus
@@ -264,3 +265,15 @@ def test_greedy_matches_reference_on_generated_ideals(char, fewer_vars, fewer_ge
     lat = LcmLattice.from_ideal(ideal)
     field = Field(char)
     assert lattice_linear_greedy(lat, field) == ref_lattice_linear_greedy(lat, field)
+
+
+@pytest.mark.parametrize("name", ["rigid4", "hexagon"])
+def test_exactness_certificate_needs_constant_ranks(lattices, name):
+    lat = lattices[name]
+    sym = rlm_symbolic(lat, QQ)
+    assert _certify_exactness_all_choices(sym)
+    # a parameter in one nonzero entry of map 2 leaves a rank that no constant pivot certifies
+    mat = sym.matrices[2]
+    r, c = next((r, c) for r, row in enumerate(mat) for c, p in enumerate(row) if not p.is_zero())
+    mat[r][c] = mat[r][c].mul(Poly.var(QQ, 0))
+    assert not _certify_exactness_all_choices(sym)

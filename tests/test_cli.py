@@ -6,7 +6,7 @@ import pytest
 
 from monres.cli import main
 
-from conftest import IDEALS
+from conftest import IDEALS, LATTICES
 
 
 @pytest.fixture
@@ -83,6 +83,21 @@ def test_poset_rlm_commands(capsys, ideal_file, tmp_path):
     }))
     code, out = run(capsys, "rlm", ideal_file("cone3b"), "--choices", str(choices))
     assert code == 0 and "-b^2" in out
+
+
+@pytest.mark.parametrize("char", ["0", "2"])
+@pytest.mark.parametrize("name", sorted(IDEALS) + sorted(LATTICES))
+def test_construction_json_scalar_matrices_are_the_frames(capsys, ideal_file, tmp_path, name, char):
+    # the scalar maps of poset/rlm are the homogenized complex's frames
+    if name in IDEALS:
+        path = ideal_file(name)
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"elements": [{"A": list(a)} for a in LATTICES[name]]}))
+    for cmd in ("poset", "rlm"):
+        code, out = run(capsys, "--char", char, "--json", cmd, str(path))
+        doc = json.loads(out)
+        assert code in (0, 2) and doc["scalar_matrices"] == doc["frames"]
 
 
 def test_classify_json(capsys, ideal_file):
@@ -211,6 +226,30 @@ def test_char_statement_in_file(capsys, tmp_path, monkeypatch):
     assert char_used("--char", "3") == 3
 
 
+@pytest.mark.parametrize("text, line, char", [
+    ("vars x y; gens x y; char 4;", 1, 4),
+    ("vars x y\ngens x y\n# 2^31 is no prime, and too big\nchar 2147483648", 4, 2147483648),
+])
+@pytest.mark.parametrize("flags", [[], ["--char", "3"], ["--char", "0"]])
+def test_bad_char_statement_is_parse_error_at_its_line(capsys, tmp_path, monkeypatch, text, line, char, flags):
+    # the statement is checked where it is parsed, whichever field the flags pick
+    path = tmp_path / "bad.ideal"
+    path.write_text(text)
+    monkeypatch.setenv("MONRES_FIELD", "5")
+    assert main([*flags, "betti", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: line {line}: characteristic must be 0 or a prime < 2^31, got {char}\n"
+
+
+def test_char_statement_takes_any_valid_characteristic(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("MONRES_FIELD", raising=False)
+    path = tmp_path / "ok.ideal"
+    for p in (0, 2, 2147483647):
+        path.write_text(f"vars x y z; gens x*y x*z y*z; char {p};")
+        code, out = run(capsys, "--json", "taylor", str(path))
+        assert code == 0 and json.loads(out)["char"] == p
+
+
 def test_verify_bad_number_is_parse_error(capsys, ideal_file, tmp_path):
     code, out = run(capsys, "--json", "resolve", ideal_file("triangle"))
     assert code == 0
@@ -336,6 +375,25 @@ def test_malformed_complex_dump_is_parse_error(capsys, ideal_file, tmp_path, key
     assert main(["verify", str(dump)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, key", [("lattice", "'A'"), ("complex", "'char'"),
+                                       ("bases", "'dim'"), ("preimages", "'j'")])
+def test_json_boolean_is_not_an_int(capsys, ideal_file, tmp_path, kind, key):
+    # bool subclasses int in Python, but true/false is a value of the wrong type
+    path = tmp_path / "doc.json"
+    if kind == "lattice":
+        doc, argv = {"elements": [{"A": []}, {"A": [True]}]}, ["betti"]
+    elif kind == "complex":
+        doc, argv = {**_complex_doc(capsys, ideal_file), "char": False}, ["verify"]
+    else:
+        entry = {"A": [1, 2, 3], "dim": 0, "chains": ["-1+3"], "j": 0, "chain": "-2+3"}
+        doc = {kind: [{**entry, key.strip("'"): True}]}
+        argv = ["rlm", ideal_file("cone3b"), "--choices"]
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error:") and f"{key} is" in err
 
 
 @pytest.mark.parametrize("key, doc", [

@@ -16,7 +16,7 @@ from monres.resolutions import (ChangeOfBasisError, MgBasisElement, MultigradedC
                                 TaylorBasis, TaylorBasisError, atomic_lattice_resolution,
                                 betti_poset_label_map, change_of_basis,
                                 consecutive_cancellation, find_unit_entry,
-                                lift_cycle_in_simplex, maximal_approximation,
+                                first_inexact_element, lift_cycle_in_simplex, maximal_approximation,
                                 minimize_resolution, projdim_bound,
                                 resolution_from_taylor_basis, scarf_complex,
                                 taylor_basis_from_resolution, taylor_resolution,
@@ -366,6 +366,31 @@ def test_basis_from_resolution_requires_generator_order(lattices):
         taylor_basis_from_resolution(swapped, lat)
 
 
+@pytest.mark.parametrize("char", [0, 2])
+def test_every_producer_places_chains_by_one_rule(lattices, char):
+    # a chain sits at the closure of its support; the empty chain at the bottom
+    field = Field(char)
+    for lat in lattices.values():
+        atomic, C = atomic_lattice_resolution(lat, field)
+        _, minimized = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
+        for basis in (atomic, minimized, taylor_basis_from_resolution(C, lat)):
+            assert basis.flat() == TaylorBasis.of(lat, basis.chains()).flat()
+        # resolution_from_taylor_basis keeps the given order within each level
+        placed = TaylorBasis.of(lat, atomic.chains()).flat()
+        R = resolution_from_taylor_basis(lat, atomic)
+        assert [[(e.label, e.mdeg) for e in lv] for lv in R.levels] == [
+            [(c, lat.element(m).mdeg) for m, c in placed if c.dim + 1 == h] for h in range(len(R.levels))]
+
+
+def test_atomic_basis_lists_elements_by_id(lattices):
+    # the walk creates the atoms' vertices in generator order, which need not be id order
+    assert lattices["four_gens"].atom_ids == [5, 2, 1, 3]
+    for lat in lattices.values():
+        basis, _ = atomic_lattice_resolution(lat, QQ)
+        ids = [m for m, _ in basis.flat()]
+        assert ids == sorted(ids)
+
+
 # -- verification ---------------------------------------------------------
 
 
@@ -427,6 +452,36 @@ def test_verify_names_the_entry_where_homogeneity_fails(lattices):
     rows[9] = {2: QQ.one, **rows[9], 1: QQ.one}
     C2 = MultigradedComplex(C.ideal, QQ, C.levels, C.frames[:3] + [Matrix.sparse(QQ, d.ncols, rows)])
     assert C2.homogeneity_failure() == (3, 9, 1)
+
+
+def ref_first_inexact_element(C, lat):
+    """The first non-bottom element whose restricted frame `restrict_to` finds inexact, or None."""
+    return next((e.id for e in lat.elements
+                 if e.id != lat.bottom and not C.restrict_to(e.mdeg).is_exact()), None)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_first_inexact_element_matches_restricted_complexes(lattices, char):
+    field = Field(char)
+    verdicts = set()
+    for lat in lattices.values():
+        _, C = atomic_lattice_resolution(lat, field)
+        mdegs, cases = [[e.mdeg.exponents for e in lv] for lv in C.levels], [C]
+        for i in range(1, len(C.levels)):
+            # the first stored entry of map i, zeroed
+            rows = [dict(row) for row in C.frames[i].rows]
+            r = next(r for r, row in enumerate(rows) if row)
+            del rows[r][min(rows[r])]
+            frames = C.frames[:i] + [Matrix.sparse(field, C.frames[i].ncols, rows)] + C.frames[i + 1:]
+            cases.append(MultigradedComplex(C.ideal, field, C.levels, frames))
+        for D in cases:
+            got = first_inexact_element(lat, mdegs, lambda i, rows, cols: D.frames[i].submatrix(rows, cols).rank())
+            assert got == ref_first_inexact_element(D, lat)
+            verdicts.add(got is None)
+        # an unknown rank stops the walk at the first element that needs one
+        assert first_inexact_element(lat, mdegs, lambda i, rows, cols: None) == min(
+            e.id for e in lat.elements if e.id != lat.bottom)
+    assert verdicts == {True, False}
 
 
 def test_verify_json_roundtrip(lattices):
@@ -755,7 +810,7 @@ def ref_minimize_resolution(C, lat):
             m = lat.closure_id(support(e.label)) if not e.label.is_zero() else lat.bottom
             by_elt.setdefault(m, []).append(e.label)
             order.append((m, len(by_elt[m]) - 1))
-    return cur, TaylorBasis(lat, by_elt, order)
+    return cur, TaylorBasis(lat, [(m, by_elt[m][k]) for m, k in order])
 
 
 def assert_same_complex(C, D):
@@ -789,7 +844,7 @@ def test_minimize_matches_dense_reference(case):
     C, basis = minimize_resolution(T, lat)
     D, ref_basis = ref_minimize_resolution(T, lat)
     assert_same_complex(C, D)
-    assert basis.order == ref_basis.order and basis.by_elt == ref_basis.by_elt
+    assert basis.flat() == ref_basis.flat() and basis.by_elt == ref_basis.by_elt
     assert basis.to_text() == ref_basis.to_text()
 
 

@@ -114,6 +114,21 @@ def test_is_exact_closure_label_nesting():
         is_exact_closure_of(V, U)
 
 
+def test_is_exact_closure_checks_the_nesting():
+    U = BasedComplex(QQ, [["e"], ["a"]], [None, Matrix(QQ, [[q(1)]])])
+    other = BasedComplex(QQ, [["e"], ["a"]], [None, Matrix(QQ, [[q(2)]])])
+    with pytest.raises(ValueError, match="^labels nested but differentials disagree$"):
+        is_exact_closure_of(other, U)
+    leaky = BasedComplex(QQ, [["e", "f"], ["a"]], [None, Matrix(QQ, [[q(1)], [q(1)]])])
+    with pytest.raises(ValueError, match="^U is not closed under the ambient differential$"):
+        is_exact_closure_of(leaky, U)
+    # a repeated label matches each of its positions once, in order
+    D = BasedComplex(QQ, [["e"], ["a", "a"]], [None, Matrix(QQ, [[q(1), q(2)]])])
+    E = BasedComplex(QQ, [["e"], ["a", "a"], ["t"]],
+                     [None, Matrix(QQ, [[q(1), q(2)]]), Matrix(QQ, [[q(2)], [q(-1)]])])
+    assert not is_exact_closure_of(D, D) and is_exact_closure_of(E, D)
+
+
 def test_exact_self_closure():
     U = BasedComplex(QQ, [["e"], ["f"]], [None, Matrix(QQ, [[q(1)]])])
     assert is_exact_closure_of(U, U)
