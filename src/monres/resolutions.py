@@ -189,9 +189,11 @@ class MultigradedComplex:
 
 
 def _frame_entry(field: Field, x):
+    if type(x) not in (int, str):  # bool subclasses int; a float is not exact
+        raise IdealParseError(f"frame entry {json.dumps(x)} is not an int or a string")
     try:
         return field.of(x)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise IdealParseError(f"frame entry {x!r} is not an element of {field}") from e
 
 
@@ -291,16 +293,22 @@ class _SparseFrames:
     complex, so scans and `complex()` keep the dense order.  A label that a
     cancellation changes is kept as its own term dict in ``terms[i][v]``,
     copied from the input chain on the first change.
+
+    Over QQ every integral value is held as its int numerator: Python mixes
+    ints and Fractions exactly, and a ±1 pivot keeps an integral complex
+    integral, so Fractions appear only past a pivot other than ±1.
+    `complex()` turns the surviving values back into field elements.
     """
 
     def __init__(self, C: MultigradedComplex):
         self.C = C
+        self.copy = dict if C.field.char else _numerators
         self.keys = [[e.mdeg.exponents for e in lv] for lv in C.levels]
         self.alive = [set(range(len(lv))) for lv in C.levels]
         self.terms: list = [{} for _ in C.levels]
         self.rows, self.cols = [None], [None]
         for fr in C.frames[1:]:
-            rows = {u: dict(row) for u, row in enumerate(fr.rows)}
+            rows = {u: self.copy(row) for u, row in enumerate(fr.rows)}
             cols: dict = {v: {} for v in range(fr.ncols)}
             for u, row in rows.items():
                 for v, x in row.items():
@@ -328,7 +336,7 @@ class _SparseFrames:
         a column in row q, which in a homogeneous complex makes (u, p) a unit.
         """
         f = self.C.field
-        z, ch = f.zero, f.char
+        ch = f.char
         if not 1 <= i < len(self.rows) or not self.alive[i]:
             raise ValueError(f"no map at degree {i}")
         rows, cols, lo, hi = self.rows[i], self.cols[i], self.keys[i - 1], self.keys[i]
@@ -337,20 +345,20 @@ class _SparseFrames:
             raise ValueError("cancellation entry is zero")
         if lo[q] != hi[p]:
             raise ValueError("cancellation entry is not a unit: multidegrees differ")
-        inv_a = f.inv(a)
+        inv_a = a if a in (1, -1) else f.inv(a)
         row_q, col_p, lv, own = rows.pop(q), cols.pop(p), self.C.levels[i], self.terms[i]
         del row_q[p], col_p[q]
         fp = own.pop(p, None)
         if fp is None and isinstance(lv[p].label, Chain):
-            fp = lv[p].label.terms
+            fp = self.copy(lv[p].label.terms)
         for v, x in row_q.items():
             del cols[v][q]
             if fp is not None and isinstance(lv[v].label, Chain):
                 c, terms = f.mul(inv_a, x), own.get(v)
                 if terms is None:
-                    terms = own[v] = dict(lv[v].label.terms)
+                    terms = own[v] = self.copy(lv[v].label.terms)
                 for fc, y in fp.items():
-                    val = terms.get(fc, z) - c * y
+                    val = terms.get(fc, 0) - c * y
                     if ch:
                         val %= ch
                     if val:
@@ -362,7 +370,7 @@ class _SparseFrames:
             row_u, c = rows[u], f.mul(y, inv_a)
             del row_u[p]
             for v, x in row_q.items():
-                val = row_u.get(v, z) - c * x
+                val = row_u.get(v, 0) - c * x
                 if ch:
                     val %= ch
                 if not val:
@@ -389,14 +397,20 @@ class _SparseFrames:
         frames: list = [None]
         for i in range(1, len(keep)):
             col = {v: c for c, v in enumerate(keep[i])}
-            frames.append(Matrix.sparse(f, len(col), [{col[v]: x for v, x in self.rows[i][u].items()}
+            frames.append(Matrix.sparse(f, len(col), [{col[v]: f.of(x) for v, x in self.rows[i][u].items()}
                                                       for u in keep[i - 1]]))
         levels = []
         for i, lv in enumerate(keep):
             elems, own = self.C.levels[i], self.terms[i]
             levels.append([elems[j] if j not in own else MgBasisElement(
-                Chain(f, own[j], dim=elems[j].label.dim), elems[j].mdeg, i) for j in lv])
+                Chain(f, {fc: f.of(y) for fc, y in own[j].items()}, dim=elems[j].label.dim),
+                elems[j].mdeg, i) for j in lv])
         return MultigradedComplex(self.C.ideal, f, levels, frames)
+
+
+def _numerators(values: dict) -> dict:
+    """A copy of these QQ values with each integral one as its int numerator."""
+    return {k: x.numerator if x.denominator == 1 else x for k, x in values.items()}
 
 
 def consecutive_cancellation(C: MultigradedComplex, i: int, q: int, p: int) -> MultigradedComplex:

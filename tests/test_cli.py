@@ -396,6 +396,23 @@ def test_json_boolean_is_not_an_int(capsys, ideal_file, tmp_path, kind, key):
     assert out == "" and err.startswith("parse error:") and f"{key} is" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    (True, "true is not an int or a string"),
+    (0.1, "0.1 is not an int or a string"),
+    (1.0, "1.0 is not an int or a string"),
+    ("1/0", "'1/0' is not an element of QQ"),
+])
+def test_frame_entry_of_the_wrong_type_is_parse_error(capsys, ideal_file, tmp_path, entry, message):
+    # frame entries are ints or exact strings: true is not 1, and 0.1 is not a binary fraction
+    doc = _complex_doc(capsys, ideal_file)
+    doc["frames"][0][0][0] = entry
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: frame entry {message}\n"
+
+
 @pytest.mark.parametrize("key, doc", [
     ("elements", {"elements": 5}),
     ("elements", {"vars": ["x"], "gens": ["x"]}),

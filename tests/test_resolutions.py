@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -111,9 +112,10 @@ def test_taylor_frames_store_only_their_nonzeros():
     assert len(stored) == r * 2 ** (r - 1) and all(stored)
 
 
-def test_minimize_taylor_at_fourteen_generators():
+@pytest.mark.parametrize("char", [0, 32003])
+def test_minimize_taylor_at_fourteen_generators(char):
     # (r, n, seed) = (14, 5, 4): 16,384 Taylor basis elements and 114,688 frame entries
-    field = Field(32003)
+    field = Field(char)
     lat = LcmLattice.from_ideal(random_minimal_ideal(14, 5, 3, random.Random(4)))
     C, _ = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
     assert C.betti_table(lat) == lat.betti_numbers(field)
@@ -813,17 +815,25 @@ def ref_minimize_resolution(C, lat):
     return cur, TaylorBasis(lat, [(m, by_elt[m][k]) for m, k in order])
 
 
+def typed_labels(C):
+    """Every label's terms, each coefficient with its type."""
+    return [[{fc: (x, type(x)) for fc, x in e.label.terms.items()} for e in lv] for lv in C.levels]
+
+
 def assert_same_complex(C, D):
     assert C.rank_vector() == D.rank_vector()
     assert C.levels == D.levels  # labels, multidegrees, homological degrees
     assert C.frames[1:] == D.frames[1:]
+    # == takes 1 for Fraction(1): the value types are compared on their own
+    assert [typed_entries(fr) for fr in C.frames[1:]] == [typed_entries(fr) for fr in D.frames[1:]]
+    assert typed_labels(C) == typed_labels(D)
     assert C.render_text() == D.render_text() and C.to_json() == D.to_json()
 
 
 @st.composite
-def taylor_cases(draw):
+def taylor_cases(draw, chars=(0, 2, 32003)):
     """(field, lattice): generated ideals with r <= 7, n <= 5, or a conftest label lattice."""
-    field = Field(draw(st.sampled_from([0, 2, 32003])))
+    field = Field(draw(st.sampled_from(chars)))
     if draw(st.booleans()):
         return field, LcmLattice.from_labels(LATTICES[draw(st.sampled_from(sorted(LATTICES)))])
     # counted down from the largest sizes, which hypothesis would otherwise rarely draw
@@ -848,6 +858,28 @@ def test_minimize_matches_dense_reference(case):
     assert basis.to_text() == ref_basis.to_text()
 
 
+SCALES = {0: [2, 3, -1, Fraction(-1, 2), Fraction(2, 3)], 32003: [2, 3]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=taylor_cases(chars=sorted(SCALES)), data=st.data())
+def test_minimize_matches_dense_reference_past_pivots_other_than_one(case, data):
+    # each Taylor map times a nonzero constant: still a complex, with pivots other than +-1
+    field, lat = case
+    T = taylor_resolution(lat.ideal, field)
+    frames = [None]
+    for fr in T.frames[1:]:
+        c = field.of(data.draw(st.sampled_from(SCALES[field.char])))
+        frames.append(Matrix.sparse(field, fr.ncols, [{v: field.mul(c, x) for v, x in row.items()}
+                                                      for row in fr.rows]))
+    S = MultigradedComplex(T.ideal, field, T.levels, frames)
+    assert S.is_complex()
+    C, basis = minimize_resolution(S, lat)
+    D, ref_basis = ref_minimize_resolution(S, lat)
+    assert_same_complex(C, D)
+    assert basis.flat() == ref_basis.flat()
+
+
 @settings(max_examples=25, deadline=None)
 @given(case=taylor_cases())
 def test_each_cancellation_matches_dense_reference(case):
@@ -859,6 +891,20 @@ def test_each_cancellation_matches_dense_reference(case):
         assert_same_complex(consecutive_cancellation(cur, *hit), nxt)
         cur = nxt
     assert find_unit_entry(cur) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=taylor_cases())
+def test_minimized_complex_survives_the_json_roundtrip(case):
+    field, lat = case
+    C, _ = minimize_resolution(taylor_resolution(lat.ideal, field), lat)
+    R = MultigradedComplex.from_json(C.to_json())
+    assert R.field == field and R.ideal.gens == C.ideal.gens
+    assert [[(e.mdeg, e.hdeg) for e in lv] for lv in R.levels] == \
+        [[(e.mdeg, e.hdeg) for e in lv] for lv in C.levels]
+    assert [typed_entries(fr) for fr in R.frames[1:]] == [typed_entries(fr) for fr in C.frames[1:]]
+    report = verify_resolution(R, lat)
+    assert report.is_resolution and report.is_minimal
 
 
 @pytest.mark.parametrize("i, q, p, message", [
