@@ -16,7 +16,6 @@ homology-linear, strongly homology-linear) are decided soundly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 
 from monres.lattice import LcmLattice
 from monres.linalg import Field
@@ -187,35 +186,6 @@ def is_lattice_linear(lat: LcmLattice, field: Field, scarf: ClassVerdict | None 
 MAX_RLM_PARAMS = 40
 
 
-def _grid_points(field: Field, nvars: int):
-    if field.char == 0:
-        values = [field.of(0), field.of(1), field.of(2)]
-    else:
-        values = [field.of(v) for v in range(min(field.char, 3))]
-    if nvars <= 8:
-        yield from product(values, repeat=nvars)
-    else:
-        import random
-
-        rng = random.Random(20240810)
-        pool = values if field.char else [field.of(v) for v in range(5)]
-        for _ in range(500):
-            yield tuple(pool[rng.randrange(len(pool))] for _ in range(nvars))
-
-
-def _find_nonzero_point(field: Field, comps):
-    entries = [p for mat in comps.values() for row in mat for p in row if not p.is_zero()]
-    for p in entries:
-        vs = sorted(p.variables())
-        if not vs:
-            return {}
-        for point in _grid_points(field, len(vs)):
-            values = dict(zip(vs, point))
-            if p.evaluate(values) != field.zero:
-                return values
-    return None
-
-
 @dataclass
 class RlmAnalysis:
     canonical_ok: bool
@@ -264,8 +234,13 @@ def analyse_rlm(lat: LcmLattice, field: Field) -> RlmAnalysis:
     const_nonzero = any(p.is_const() and not p.is_zero() for p in entries)
     breaking = None
     if not composites_zero:
-        point = _find_nonzero_point(field, comps)
-        if point is not None and not sym.evaluate(point).is_complex:
+        # every composite entry is multilinear, each parameter living in one column
+        # of one map: with the variables of a least-degree term at 1 and all others
+        # at 0, the first nonzero entry equals that term's coefficient
+        first = next(p for p in entries if not p.is_zero())
+        term = min(first.terms, key=lambda k: (len(k), k))
+        point = {v: field.one for v in term}
+        if not sym.evaluate(point).is_complex:
             breaking = point
     sample_ok = canonical_ok
     sample_fail = not canonical_ok

@@ -17,8 +17,12 @@ everything read from them equal what the dense textbook loop gives.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+
+# the only number forms `to_json` and `format_chain` write: an int or a/b, ASCII digits
+_EXACT_NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _is_prime(p: int) -> bool:
@@ -56,11 +60,19 @@ class Field:
         return "QQ" if self.char == 0 else f"GF({self.char})"
 
     def of(self, value):
-        """Coerce an int, Fraction or 'a/b' string into the field."""
+        """Coerce an int, Fraction or '-a/b' string into the field.
+
+        A string must be an integer or a fraction of ASCII digits, with an
+        optional leading minus and nothing else; any other raises ValueError.
+        """
+        if isinstance(value, str):
+            number = _EXACT_NUMBER.fullmatch(value)
+            if number is None:
+                raise ValueError(f"{value!r} is not an integer or a fraction a/b")
+            a, b = number.groups()
+            value = int(a) if b is None else Fraction(int(a), int(b))
         if self.char == 0:
             return Fraction(value)
-        if isinstance(value, str):
-            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.char == 0:
                 raise ZeroDivisionError("denominator not invertible mod p")

@@ -24,8 +24,7 @@ from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.resolutions import (MgBasisElement, MultigradedComplex, TaylorBasis,
                                 VerificationReport, verify_resolution)
-from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, prune_facets,
-                             reduced_homology)
+from monres.vcomplex import class_in_homology, complex_of_facets, in_complex, reduced_cycles
 
 
 # -- homology bases ----------------------------------------------------
@@ -85,10 +84,11 @@ class HomologyBasis:
 
 
 def reduced_subcomplex(lat: LcmLattice, field: Field, m_id: int, i: int | None = None):
-    """(maximal elements of B(m), or of B_i(m), their labels as facets).
+    """(maximal elements of B(m), or of B_i(m), their labels sorted: the facets).
 
     B(m) holds the nonbottom Betti-poset elements strictly below m; B_i(m)
-    keeps those whose complex has homology in dimension i-1.
+    keeps those whose complex has homology in dimension i-1.  The maxima
+    form an antichain, so no label contains another.
     """
     if lat.element(m_id).rank < 2:
         raise ValueError("reduced subcomplex needs rank >= 2")
@@ -99,8 +99,7 @@ def reduced_subcomplex(lat: LcmLattice, field: Field, m_id: int, i: int | None =
             if dims and (i is None or i - 1 in dims):
                 pool.append(e.id)
     maxima = [b for b in pool if not any(lat.lt(b, c) for c in pool)]
-    facets = prune_facets(tuple(sorted(lat.element(b).A)) for b in maxima)
-    return maxima, tuple(facets)
+    return maxima, tuple(sorted(tuple(sorted(lat.element(b).A)) for b in maxima))
 
 
 def mv_connecting(field: Field, facets1, facets2, f: Chain) -> Chain:
@@ -133,27 +132,25 @@ def sigma_map(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: Chain
 def sigma_preimage(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: Chain) -> Chain:
     """Canonical cycle z in the subcomplex with [z] = [cycle] in Delta_m.
 
-    Solves z = cycle + d(w) with w a chain of the complex at m and z
-    supported in the subcomplex; the particular solution of the fixed
-    elimination order is returned.
+    A cycle already in the subcomplex is z.  Otherwise z = cycle + d(w),
+    where w is the particular solution, in the fixed elimination order, of
+    the chains of the complex at m whose boundary cancels the cycle's
+    coefficients outside the subcomplex.
     """
     cx = lat.complex_at(m_id, field)
     level = cycle.dim + 1
     faces = cx.labels[level] if level <= cx.length else []
     if not set(cycle.terms) <= set(faces):
         raise ValueError("cycle leaves the complex at m")
+    if all(in_complex(fc, sub_facets) for fc in cycle.terms):
+        return cycle
     outside = [i for i, fc in enumerate(faces) if not in_complex(fc, sub_facets)]
+    rhs = [field.neg(cycle.terms.get(faces[i], field.zero)) for i in outside]
     w_mat = cx.differential(level + 1)
-    sol = [field.zero] * w_mat.ncols
-    if outside:
-        rhs = [field.neg(cycle.terms.get(faces[i], field.zero)) for i in outside]
-        sol = w_mat.submatrix(outside, range(w_mat.ncols)).solve(rhs)
-        if sol is None:
-            raise ValueError("no preimage in the subcomplex (comparison map not surjective?)")
-    terms = dict(cycle.terms)
-    for fc, v in zip(faces, w_mat.mul_vector(sol)):
-        terms[fc] = field.add(terms.get(fc, field.zero), v)
-    return Chain(field, terms, dim=cycle.dim)
+    sol = w_mat.submatrix(outside, range(w_mat.ncols)).solve(rhs)
+    if sol is None:
+        raise ValueError("no preimage in the subcomplex (comparison map not surjective?)")
+    return cycle.add(boundary(Chain(field, zip(cx.labels[level + 1], sol), dim=level)))
 
 
 # -- symbolic polynomials for the preimage parameters ---------------------
@@ -366,7 +363,7 @@ def _component_column(lat: LcmLattice, hb: HomologyBasis, preimage: Chain, gamma
     for g in gammas:
         A_g = tuple(sorted(lat.element(g).A))
         others = [tuple(sorted(lat.element(h).A)) for h in gammas if h != g]
-        d_c1 = mv_connecting(field, (A_g,), tuple(others) if others else ((),), preimage)
+        d_c1 = mv_connecting(field, (A_g,), others, preimage)
         if d_c1.is_zero():
             continue
         if not hb.classes_at(g, dim - 1):
@@ -491,9 +488,8 @@ def rlm_symbolic(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
         m, d, j = lbl
         gammas, facets, base = _column(lat, hb, lbl, d)
         terms = [(Poly.const(field, field.one), base)]
-        sub_hom = reduced_homology(complex_of_facets(field, facets))
-        if d in sub_hom:
-            reps = sub_hom[d][1]
+        reps = reduced_cycles(complex_of_facets(field, facets), d)
+        if reps:
             coord_cols = [hb.class_coords(m, rchain) for rchain in reps]
             coeff = Matrix.from_columns(field, len(hb.classes_at(m, d)), coord_cols)
             for k, vec in enumerate(coeff.kernel_basis().columns()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from monres.chains import Chain, face
+from monres.chains import Chain, boundary, face
 from monres.linalg import Field, Matrix, column_space_basis
 
 
@@ -248,13 +248,14 @@ def class_in_homology(cx: BasedComplex, c: Chain, basis_chains):
 
     `basis_chains` are cycles whose classes form a basis of H~_dim(c).
     Solves c = sum(x_s * basis_s) + boundary; returns the x vector, or
-    raises if c is not a cycle in the complex or the solve fails.
+    raises if c is not a cycle in the complex or the solve fails.  Every
+    chain of dimension -1 is a cycle; any other is one when its simplicial
+    boundary vanishes.
     """
     field = cx.field
     level = c.dim + 1
-    d = cx.differential(level)
     coords = chain_to_coords(cx, c)
-    if any(x != field.zero for x in d.mul_vector(coords)):
+    if c.dim >= 0 and not boundary(c).is_zero():
         raise ValueError("not a cycle")
     basis = Matrix.from_columns(field, len(coords), [chain_to_coords(cx, b) for b in basis_chains])
     sol = basis.stack_columns(cx.differential(level + 1)).solve(coords)

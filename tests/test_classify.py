@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import monres.classify as classify_module
 from monres.chains import Chain
-from monres.classify import (IMPLICATIONS, _certify_exactness_all_choices, classify,
-                             is_homologically_monotonic, is_lattice_linear, lattice_linear_greedy)
+from monres.classify import (IMPLICATIONS, MAX_RLM_PARAMS, _certify_exactness_all_choices,
+                             analyse_rlm, classify, is_homologically_monotonic, is_lattice_linear,
+                             lattice_linear_greedy)
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import random_minimal_ideal
@@ -16,6 +17,7 @@ from monres.posetres import Poly, rlm_symbolic
 from monres.resolutions import ClosureChains, lift_cycle_in_simplex
 
 from conftest import random_corpus
+from test_lattice import generated_lattices
 
 
 QQ = Field(0)
@@ -277,3 +279,47 @@ def test_exactness_certificate_needs_constant_ranks(lattices, name):
     r, c = next((r, c) for r, row in enumerate(mat) for c, p in enumerate(row) if not p.is_zero())
     mat[r][c] = mat[r][c].mul(Poly.var(QQ, 0))
     assert not _certify_exactness_all_choices(sym)
+
+
+# -- the breaking point of the symbolic rlm construction ---------------------
+#
+# Each parameter lives in one column of one map, so every entry of a composite
+# psi_{i-1} psi_i is multilinear.  With the variables of a least-degree term at
+# 1 and every other at 0, every other term vanishes and the entry equals that
+# term's coefficient: `analyse_rlm` takes its breaking point from there.
+
+
+def assert_breaking_point_from_a_least_degree_term(lat, field):
+    """Check the closed form's premise on every composite entry; True if one is nonzero."""
+    sym = rlm_symbolic(lat, field, max_params=MAX_RLM_PARAMS)
+    breaking = analyse_rlm(lat, field).complex_breaking_point
+    if sym is None:
+        assert breaking is None
+        return False
+    nonzero = False
+    for mat in sym.composites().values():
+        for p in (p for row in mat for p in row):
+            assert all(len(set(k)) == len(k) for k in p.terms), p
+            if p.is_zero():
+                continue
+            nonzero = True
+            low = min(map(len, p.terms))
+            for k in (k for k in p.terms if len(k) == low):
+                assert p.evaluate({v: field.one for v in k}) == p.terms[k], (p, k)
+    assert (breaking is not None) == nonzero
+    return nonzero
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_breaking_point_on_named_lattices(lattices, char):
+    field = Field(char)
+    broken = {name for name, lat in lattices.items()
+              if assert_breaking_point_from_a_least_degree_term(lat, field)}
+    assert broken == {"four_gens", "stable7", "wide6", "fan5"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generated_lattices(8))
+def test_breaking_point_on_generated_lattices(case):
+    field, lat = case
+    assert_breaking_point_from_a_least_degree_term(lat, field)

@@ -316,6 +316,8 @@ def test_bound_command(capsys, ideal_file):
     {"preimages": ["x"]},
     {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0}]},
     {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": [0], "chain": "-2+3"}]},
+    {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["1e5*12"]}]},
+    {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "0.5*12"}]},
 ])
 def test_malformed_choices_chain_is_parse_error(capsys, ideal_file, tmp_path, choices):
     path = tmp_path / "choices.json"
@@ -323,6 +325,20 @@ def test_malformed_choices_chain_is_parse_error(capsys, ideal_file, tmp_path, ch
     assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, choices", [
+    ("poset", {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["3"]}]}),
+    ("rlm", {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "3"}]}),
+])
+def test_choices_non_cycle_is_precondition(capsys, ideal_file, tmp_path, command, choices):
+    # the vertex 3 lies in Delta at the top of cone3b and in the preimage's
+    # subcomplex, but its boundary is the empty face
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps(choices))
+    assert main([command, ideal_file("cone3b"), "--choices", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.endswith(": not a cycle\n")
 
 
 def test_choices_label_outside_lattice_is_precondition(capsys, ideal_file, tmp_path):
@@ -401,6 +417,10 @@ def test_json_boolean_is_not_an_int(capsys, ideal_file, tmp_path, kind, key):
     (0.1, "0.1 is not an int or a string"),
     (1.0, "1.0 is not an int or a string"),
     ("1/0", "'1/0' is not an element of QQ"),
+    # an exact number is an int or a/b in ASCII digits: no exponent, no decimal point, no space
+    ("1e10000000", "'1e10000000' is not an element of QQ"),
+    ("0.5", "'0.5' is not an element of QQ"),
+    (" 3", "' 3' is not an element of QQ"),
 ])
 def test_frame_entry_of_the_wrong_type_is_parse_error(capsys, ideal_file, tmp_path, entry, message):
     # frame entries are ints or exact strings: true is not 1, and 0.1 is not a binary fraction

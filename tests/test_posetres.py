@@ -12,7 +12,7 @@ from monres.posetres import (HomologyBasis, SymbolicRlm, certified_constant_rank
                              poset_construction, reduced_subcomplex, rlm_construction,
                              rlm_symbolic, sigma_map, sigma_preimage, Poly)
 from monres.resolutions import atomic_lattice_resolution, maximal_approximation
-from monres.vcomplex import (class_in_homology, complex_of_facets, prune_facets,
+from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, prune_facets,
                              reduced_homology, reduced_homology_dims)
 
 from conftest import IDEALS, LATTICES, random_corpus
@@ -108,6 +108,58 @@ def test_sigma_preimage_of_cycle_already_inside(lattices):
     _, facets = reduced_subcomplex(lat, QQ, top)
     z = sigma_preimage(lat, QQ, top, facets, rep)
     assert hb.class_coords(top, z) == [QQ.one]
+
+
+def test_sigma_preimage_keeps_a_top_level_cycle_inside_the_subcomplex(lattices):
+    # Delta at the top of the triangle is three points: its H~_0 classes sit on
+    # the complex's top level, and the atoms' subcomplex holds all of them
+    lat = lattices["triangle"]
+    for char in (0, 2, 32003):
+        field = Field(char)
+        cx = lat.complex_at(lat.top, field)
+        _, facets = reduced_subcomplex(lat, field, lat.top, 0)
+        for rep in lat.homology_at(lat.top, field)[0][1]:
+            assert rep.dim + 1 == cx.length
+            assert sigma_preimage(lat, field, lat.top, facets, rep) == rep
+
+
+def ref_sigma_preimage(lat, field, m_id, sub_facets, cycle):
+    """z = cycle + d(w), with d(w) the dense product of the whole boundary matrix and w."""
+    cx = lat.complex_at(m_id, field)
+    level = cycle.dim + 1
+    faces = cx.labels[level] if level <= cx.length else []
+    if not set(cycle.terms) <= set(faces):
+        raise ValueError("cycle leaves the complex at m")
+    outside = [i for i, fc in enumerate(faces) if not in_complex(fc, sub_facets)]
+    w_mat = cx.differential(level + 1)
+    sol = [field.zero] * w_mat.ncols
+    if outside:
+        rhs = [field.neg(cycle.terms.get(faces[i], field.zero)) for i in outside]
+        sol = w_mat.submatrix(outside, range(w_mat.ncols)).solve(rhs)
+        if sol is None:
+            raise ValueError("no preimage in the subcomplex (comparison map not surjective?)")
+    terms = dict(cycle.terms)
+    for fc, v in zip(faces, w_mat.mul_vector(sol)):
+        terms[fc] = field.add(terms.get(fc, field.zero), v)
+    return Chain(field, terms, dim=cycle.dim)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_sigma_preimage_matches_the_dense_product(lattices, char):
+    field = Field(char)
+    moved = 0
+    for lat in lattices.values():
+        for e in lat.elements:
+            if e.rank < 2:
+                continue
+            for d, (_, reps) in lat.homology_at(e.id, field).items():
+                for i in (None, d):
+                    _, facets = reduced_subcomplex(lat, field, e.id, i)
+                    for rep in reps:
+                        z = outcome(sigma_preimage, lat, field, e.id, facets, rep)
+                        assert z == outcome(ref_sigma_preimage, lat, field, e.id, facets, rep)
+                        moved += not all(in_complex(fc, facets) for fc in rep.terms)
+    assert moved
 
 
 # -- Mayer-Vietoris -----------------------------------------------------

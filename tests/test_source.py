@@ -1,0 +1,24 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "monres"
+
+
+def imported_modules(path):
+    """Top-level names of every module a source file imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_random_only_where_the_caller_asks_for_random_ideals():
+    # every decision path is deterministic: `random_minimal_ideal` takes the
+    # caller's generator, and `monres random` seeds one from --seed
+    users = {path.name for path in SRC.glob("*.py") if "random" in imported_modules(path)}
+    assert users == {"monomials.py", "cli.py"}

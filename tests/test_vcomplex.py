@@ -10,8 +10,9 @@ from monres.chains import Chain, boundary
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.resolutions import atomic_lattice_resolution
-from monres.vcomplex import (BasedComplex, complex_of_facets, exact_closure, in_complex,
-                             is_exact_closure_of, reduced_homology, reduced_homology_dims)
+from monres.vcomplex import (BasedComplex, class_in_homology, complex_of_facets, exact_closure,
+                             in_complex, is_exact_closure_of, reduced_cycles, reduced_homology,
+                             reduced_homology_dims)
 
 from conftest import random_based_complex, random_corpus, typed_entries
 
@@ -50,6 +51,38 @@ def test_reduced_homology_dict():
     assert hom[0][0] == 1
     empty_complex = reduced_homology(complex_of_facets(QQ, [()]))
     assert empty_complex[-1][0] == 1
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_class_in_homology_rejects_a_non_cycle(char):
+    field = Field(char)
+    one = field.one
+    cx = complex_of_facets(field, [(1, 2), (1, 3), (2, 3)])
+    non_cycles = [Chain.from_face(field, (1,)), Chain.from_face(field, (1, 2)),
+                  Chain(field, {(1, 2): one, (1, 3): one})]
+    # the boundary of 1+2 is 2 times the empty face: a cycle in GF(2) alone
+    two_points = Chain(field, {(1,): one, (2,): one})
+    if char == 2:
+        assert class_in_homology(cx, two_points, reduced_cycles(cx, 0)) == []
+    else:
+        non_cycles.append(two_points)
+    for c in non_cycles:
+        with pytest.raises(ValueError, match="^not a cycle$"):
+            class_in_homology(cx, c, reduced_cycles(cx, c.dim))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_class_in_homology_takes_the_empty_chain_and_zero_chains(char):
+    field = Field(char)
+    three = field.of(3)
+    # a chain of dimension -1 is a cycle: the class of 3 times the empty face
+    empty = complex_of_facets(field, [])
+    assert class_in_homology(empty, Chain.from_face(field, (), three), reduced_cycles(empty, -1)) == [three]
+    cx = complex_of_facets(field, [(1, 2), (1, 3), (2, 3)])
+    assert class_in_homology(cx, Chain.from_face(field, (), three), reduced_cycles(cx, -1)) == []
+    for dim in (-1, 0, 1):
+        assert class_in_homology(cx, Chain.zero(field, dim), reduced_cycles(cx, dim)) == \
+            [field.zero] * len(reduced_cycles(cx, dim))
 
 
 def test_exact_closure_of_exact_is_identity():
