@@ -21,7 +21,8 @@ from operator import le
 
 from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
-from monres.vcomplex import class_in_homology, complex_of_facets, reduced_cycles, reduced_homology_dims
+from monres.vcomplex import (class_in_homology, complex_of_facets, graph_homology_dims, reduced_cycles,
+                             reduced_homology_dims)
 
 MAX_ATOMS = 63
 
@@ -231,12 +232,16 @@ class LcmLattice:
     def homology_dims_at(self, m_id: int, field: Field):
         """dict dim -> dim_k H~_dim of Delta_m, from Delta_m or the nerve N_m of its facets.
 
-        N_m has the covers c of m as vertices and one facet {c : v in A_c} per
-        generator v in A_m.  Every nonempty intersection of facets of Delta_m
-        is a simplex, so N_m has the homology of Delta_m in every field (nerve
-        theorem, Bjorner, "Topological methods", Thm 10.6).  Either may be
-        exponentially larger than the other, so the one with fewer faces by
-        the bound sum_F 2^|F| is reduced, ranks alone; at an atom both are {()}.
+        Where a generator lies in every cover's label, Delta_m is a cone and
+        its homology vanishes; an atom's one cover is the bottom, so an atom
+        is never one.  Otherwise N_m has the covers c of m as vertices and one
+        facet {c : v in A_c} per generator v in A_m.  Every nonempty
+        intersection of facets of Delta_m is a simplex, so N_m has the
+        homology of Delta_m in every field (nerve theorem, Bjorner,
+        "Topological methods", Thm 10.6).  Either may be exponentially larger
+        than the other, so the one with fewer faces by the bound sum_F 2^|F|
+        is used: counted where it is a graph (`graph_homology_dims`), reduced
+        by ranks alone elsewhere; at an atom both are {()}.
         """
         if m_id == self.bottom:
             raise ValueError("no simplicial complex at the bottom element")
@@ -244,9 +249,13 @@ class LcmLattice:
         if m_id not in cache:
             e = self.elements[m_id]
             delta = [self.elements[c].A for c in e.covers]
-            nerve = [[c for c, A in zip(e.covers, delta) if v in A] for v in e.A]
-            smaller = min((nerve, delta), key=lambda facets: sum(2 ** len(f) for f in facets))
-            cache[m_id] = reduced_homology_dims(complex_of_facets(field, smaller))
+            if frozenset.intersection(*delta):
+                cache[m_id] = {}
+            else:
+                nerve = [[c for c, A in zip(e.covers, delta) if v in A] for v in e.A]
+                smaller = min((nerve, delta), key=lambda facets: sum(2 ** len(f) for f in facets))
+                dims = graph_homology_dims(smaller)
+                cache[m_id] = reduced_homology_dims(complex_of_facets(field, smaller)) if dims is None else dims
         return cache[m_id]
 
     def homology_at(self, m_id: int, field: Field):

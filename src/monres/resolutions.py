@@ -148,7 +148,14 @@ class MultigradedComplex:
             raise IdealParseError(f"{where}: {len(doc['frames'])} 'frames' for {len(doc['levels'])} 'levels'")
         field = Field(doc.get("char", 0))
         names = doc["vars"]
-        gens = [parse_monomial(g, names) for g in doc["gens"]]
+
+        def monomial(text, at):
+            try:
+                return parse_monomial(text, names)
+            except ValueError as e:
+                raise IdealParseError(f"{where}: {at}: {e}") from e
+
+        gens = [monomial(g, f"gens[{k}]") for k, g in enumerate(doc["gens"])]
         try:
             ideal = MonomialIdeal(names, gens)
         except ValueError as e:
@@ -159,7 +166,7 @@ class MultigradedComplex:
             for j, e in enumerate(lv):
                 json_object(e, {"mdeg": str}, f"{where}: levels[{i}][{j}]")
                 levels[i].append(MgBasisElement(e.get("label", f"e[{i}][{j}]"),
-                                                parse_monomial(e["mdeg"], names), i))
+                                                monomial(e["mdeg"], f"levels[{i}][{j}]"), i))
         frames: list = [None]
         for i, rows in enumerate(doc["frames"], start=1):
             shape = (len(levels[i - 1]), len(levels[i]))

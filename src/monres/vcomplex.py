@@ -211,6 +211,38 @@ def complex_of_facets(field: Field, facets) -> BasedComplex:
     return BasedComplex(field, labels, maps)
 
 
+def graph_homology_dims(facets):
+    """Of the complex with these facets: dict d -> dim_k H~_d where no facet has
+    more than two vertices, None where one does.
+
+    Such a complex is a graph, with V vertices, E distinct edges and c
+    components (union-find over the facets, which may repeat or nest).  It has
+    H~_0 = c - 1 and H~_1 = E - V + c, the same in every field k, since H_1 of
+    a graph is free; with no vertex at all it is {()}, and H~_-1 = 1.
+    """
+    if any(len(f) > 2 for f in facets):
+        return None
+    parent = {v: v for f in facets for v in f}
+    if not parent:
+        return {-1: 1}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = {frozenset(f) for f in facets if len(f) == 2}
+    components = len(parent)
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    dims = {0: components - 1, 1: len(edges) - len(parent) + components}
+    return {d: n for d, n in dims.items() if n}
+
+
 def reduced_homology(cx: BasedComplex):
     """Of a face-labelled complex: dict d -> (dim_k H~_d, canonical representative Chains)."""
     return {d: (n, reduced_cycles(cx, d)) for d, n in reduced_homology_dims(cx).items()}

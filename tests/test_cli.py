@@ -357,6 +357,7 @@ def _complex_doc(capsys, ideal_file):
 @pytest.mark.parametrize("vars_, gens, message", [
     (["x", "y", "x"], ["x*y", "y^2"], "duplicate variable 'x'"),
     (["x", "y"], ["x", "x*y"], "non-minimal generators: x divides x*y"),
+    (["x", "y"], ["x", "z"], "gens[1]: undeclared variable 'z'"),
 ])
 def test_complex_dump_naming_no_ideal_is_parse_error(capsys, ideal_file, tmp_path, vars_, gens, message):
     # as for a lattice dump: a resolution dump whose ideal cannot be built is malformed input
@@ -384,6 +385,9 @@ def test_complex_dump_naming_no_ideal_is_parse_error(capsys, ideal_file, tmp_pat
     pytest.param("levels[0][0]", lambda d: {**d, "levels": [[5]] + d["levels"][1:]}, id="entry-not-object"),
     pytest.param("mdeg", lambda d: {**d, "levels": [[{"label": "1"}]] + d["levels"][1:]}, id="no-mdeg"),
     pytest.param("char", lambda d: {**d, "char": "2"}, id="char-not-int"),
+    pytest.param("the complex JSON: levels[1][2]: bad monomial factor ''",
+                 lambda d: {**d, "levels": [d["levels"][0], d["levels"][1][:2] + [{"mdeg": "x**y"}]]
+                            + d["levels"][2:]}, id="mdeg-not-a-monomial"),
 ])
 def test_malformed_complex_dump_is_parse_error(capsys, ideal_file, tmp_path, key, breakage):
     dump = tmp_path / "broken.json"

@@ -26,6 +26,51 @@ def labels_of(lat):
     return {tuple(sorted(e.A)) for e in lat.elements}
 
 
+def ranked_ids(lat):
+    """The elements whose homology dims need ranks: Delta_m is no cone (no generator
+    in every cover's label), and the smaller of N_m and Delta_m by sum_F 2^|F| has a
+    facet of three or more vertices, so it is no graph."""
+    ids = []
+    for e in lat.elements:
+        delta = [lat.element(c).A for c in e.covers]
+        if e.id == lat.bottom or frozenset.intersection(*delta):
+            continue
+        nerve = [[c for c, A in zip(e.covers, delta) if v in A] for v in e.A]
+        smaller = min((nerve, delta), key=lambda facets: sum(2 ** len(f) for f in facets))
+        if max(map(len, smaller)) > 2:
+            ids.append(e.id)
+    return ids
+
+
+def counting(calls, call):
+    """`call`, appending its arguments to `calls` each time it runs."""
+    def wrapped(*args):
+        calls.append(args)
+        return call(*args)
+    return wrapped
+
+
+def record_ranked_elements(monkeypatch):
+    """The ids of the elements at which homology_dims_at reduces a model by ranks, in call order."""
+    at, ranked = [], []
+
+    def dims_at(self, m_id, field):
+        at.append(m_id)
+        try:
+            return homology_dims_at(self, m_id, field)
+        finally:
+            at.pop()
+
+    def reducing(cx):
+        ranked.append(at[-1])
+        return reduce(cx)
+
+    homology_dims_at, reduce = LcmLattice.homology_dims_at, lattice_module.reduced_homology_dims
+    monkeypatch.setattr(LcmLattice, "homology_dims_at", dims_at)
+    monkeypatch.setattr(lattice_module, "reduced_homology_dims", reducing)
+    return ranked
+
+
 def test_cone3_labels(lattices):
     assert labels_of(lattices["cone3"]) == {(), (1,), (2,), (3,), (1, 2), (1, 2, 3)}
 
@@ -80,6 +125,7 @@ def test_complex_at_is_built_once_per_element(lattices, monkeypatch, name):
     # a fresh lattice: the session fixtures may already hold cached complexes
     lat = LcmLattice.from_ideal(lattices[name].ideal)
     calls, models, inside = [], [], []
+    ranked = record_ranked_elements(monkeypatch)
 
     def counting(field, facets):
         # Delta_m built by complex_at, or the model homology_dims_at reduces
@@ -96,18 +142,21 @@ def test_complex_at_is_built_once_per_element(lattices, monkeypatch, name):
     build, complex_at = lattice_module.complex_of_facets, LcmLattice.complex_at
     monkeypatch.setattr(lattice_module, "complex_of_facets", counting)
     monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
+    # cones and graph models are counted: a model is built and ranked only at the others
+    want = ranked_ids(lat)
+    assert 0 < len(want) < len(lat) - 1
     classify(lat, QQ)
     first = len(calls)
-    assert 0 < first <= len(lat) - 1 and len(models) == len(lat) - 1
+    assert 0 < first <= len(lat) - 1 and sorted(ranked) == want and len(models) == len(want)
     classify(lat, QQ)
-    assert len(calls) == first and len(models) == len(lat) - 1
+    assert len(calls) == first and sorted(ranked) == want and len(models) == len(want)
     for e in lat.elements:
         if e.id == lat.bottom:
             continue
         cx = lat.complex_at(e.id, QQ)
         assert cx is lat.complex_at(e.id, QQ)
         assert reduced_homology(cx) == lat.homology_at(e.id, QQ)
-    assert len(calls) <= len(lat) - 1 and len(models) == len(lat) - 1
+    assert len(calls) <= len(lat) - 1 and sorted(ranked) == want and len(models) == len(want)
 
 
 def test_q_faces(lattices):
@@ -457,12 +506,6 @@ def test_walks_and_homology_at_rank_nothing_once_the_dims_are_known(monkeypatch,
     betti = [e.id for e in lat.elements if e.rank >= 2 and lat.homology_dims_at(e.id, field)]
     ranks, complexes = [], []
 
-    def counting(calls, call):
-        def wrapped(*args):
-            calls.append(args)
-            return call(*args)
-        return wrapped
-
     monkeypatch.setattr(Matrix, "rank", counting(ranks, Matrix.rank))
     monkeypatch.setattr(ClosureChains, "complex_on", counting(complexes, ClosureChains.complex_on))
     atomic_lattice_resolution(lat, field)
@@ -502,15 +545,11 @@ def test_betti_numbers_of_rp2_depend_on_the_characteristic():
 
 
 def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
-    # betti_numbers reduces one model per element, ranks alone, and calls no complex_at
+    # betti_numbers reduces a model by ranks alone at the elements that are neither
+    # cones nor graph models, none on this lattice, and calls no complex_at
     lat = LcmLattice.from_ideal(random_minimal_ideal(9, 3, 3, random.Random(6)))
-    picked, models, delta = [], [], []
-
-    def counting(calls, call):
-        def wrapped(*args):
-            calls.append(args)
-            return call(*args)
-        return wrapped
+    picked, delta = [], []
+    models = record_ranked_elements(monkeypatch)
 
     def counting_complex_at(self, m_id, field):
         delta.append(m_id)
@@ -519,13 +558,11 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
     complex_at = LcmLattice.complex_at
     monkeypatch.setattr(lattice_module, "reduced_cycles",
                         counting(picked, lattice_module.reduced_cycles))
-    monkeypatch.setattr(lattice_module, "reduced_homology_dims",
-                        counting(models, lattice_module.reduced_homology_dims))
     monkeypatch.setattr(LcmLattice, "complex_at", counting_complex_at)
     table = lat.betti_numbers(QQ)
-    assert delta == picked == [] and len(models) == len(lat) - 1
+    assert delta == picked == [] and models == ranked_ids(lat) == []
     assert lat.betti_numbers(QQ) == table
-    assert delta == picked == [] and len(models) == len(lat) - 1
+    assert delta == picked == [] and models == []
     # representatives: {} at once where the dims vanish; where they do not,
     # Delta_m once and its cycles once at each level the dims name
     ids = [e.id for e in lat.elements if e.id != lat.bottom]
@@ -536,7 +573,7 @@ def test_betti_numbers_reduce_the_smaller_model_once(monkeypatch):
     for _ in range(2):
         for m in betti:
             assert dims_of(lat.homology_at(m, QQ)) == lat.homology_dims_at(m, QQ)
-    assert delta == betti and len(models) == len(lat) - 1
+    assert delta == betti and models == []
     assert picked == [(lat.complex_at(m, QQ), d) for m in betti
                             for d in lat.homology_dims_at(m, QQ)]
 
@@ -561,11 +598,44 @@ def test_homology_dims_reduce_the_smaller_of_delta_and_the_nerve(monkeypatch):
         assert lat.homology_dims_at(lat.top, QQ) == {}
         assert lat.betti_numbers(QQ) == ref_betti_numbers(lat, QQ)
     # few variables and many generators: the nerve is the smaller; at this
-    # top its 12 facets on 3 covers bound 72 faces, Delta_m's 3 facets 3 * 2^10
+    # top its 12 facets on 3 covers bound 72 faces, Delta_m's 3 facets 3 * 2^10,
+    # but a generator lies in all 3 covers, so Delta_m is a cone and neither is built
     lat = LcmLattice.from_ideal(random_minimal_ideal(12, 3, 3, random.Random(6)))
+    top = lat.element(lat.top)
+    nerve = [[c for c in top.covers if v in lat.element(c).A] for v in top.A]
+    assert sum(2 ** len(f) for f in nerve) == 72 and max(map(len, nerve)) == 3
+    assert sum(2 ** len(lat.element(c).A) for c in top.covers) == 3072
     sizes.clear()
+    assert lat.homology_dims_at(lat.top, QQ) == {} and sizes == []
+    # at this top no generator lies in all 4 covers; the nerve's 8 facets, each
+    # on 3 of them, bound 64 faces, Delta_m's 4 facets 288
+    lat = LcmLattice.from_ideal(random_minimal_ideal(8, 4, 3, random.Random(6)))
+    assert sum(2 ** len(lat.element(c).A) for c in lat.element(lat.top).covers) == 288
+    assert lat.top in ranked_ids(lat)
     lat.homology_dims_at(lat.top, QQ)
-    assert sizes == [72] and sum(2 ** len(lat.element(c).A) for c in lat.element(lat.top).covers) == 3072
+    assert sizes == [64]
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_cones_and_graph_models_need_no_matrix(lattices, monkeypatch, char):
+    # hexagon {3, 4, 5} covers {3, 4} and {4, 5}: a cone over 4.  The stable7 top's
+    # covers {2, ..., 7}, {1, 2, 3, 5, 6, 7}, {1, ..., 6} make a cone over 2, 3, 5
+    # and 6, and neither of its models is a graph.  The fan5 top's covers {1, 2},
+    # {1, 3}, {2, 3, 4, 5} bound 24 faces; its nerve, 5 facets on the 3 covers
+    # bounding 16, is a hollow triangle with two nested one-vertex facets
+    hexagon, stable7, fan5 = (LcmLattice.from_ideal(lattices[name].ideal)
+                              for name in ("hexagon", "stable7", "fan5"))
+    field = Field(char)
+    ranks, built = [], []
+    monkeypatch.setattr(Matrix, "rank", counting(ranks, Matrix.rank))
+    monkeypatch.setattr(lattice_module, "complex_of_facets", counting(built, lattice_module.complex_of_facets))
+    assert hexagon.homology_dims_at(hexagon.id_of_label({3, 4, 5}), field) == {}
+    assert stable7.homology_dims_at(stable7.top, field) == {}
+    assert fan5.homology_dims_at(fan5.top, field) == {1: 1}
+    assert ranks == built == []
+    # the hexagon's top is neither, and is ranked
+    assert hexagon.homology_dims_at(hexagon.top, field) == {2: 2}
+    assert len(built) == 1 and ranks
 
 
 @pytest.mark.parametrize("char", [0, 2])

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "monres"
@@ -22,3 +23,10 @@ def test_random_only_where_the_caller_asks_for_random_ideals():
     # caller's generator, and `monres random` seeds one from --seed
     users = {path.name for path in SRC.glob("*.py") if "random" in imported_modules(path)}
     assert users == {"monomials.py", "cli.py"}
+
+
+def test_only_the_standard_library_and_monres_are_imported():
+    # the package is dependency-free: numpy is installed for development but stays out
+    outside = {path.name: sorted(imported_modules(path) - set(sys.stdlib_module_names) - {"monres"})
+               for path in SRC.glob("*.py")}
+    assert {name: mods for name, mods in outside.items() if mods} == {}

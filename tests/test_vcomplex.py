@@ -11,8 +11,8 @@ from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.resolutions import atomic_lattice_resolution
 from monres.vcomplex import (BasedComplex, class_in_homology, complex_of_facets, exact_closure,
-                             in_complex, is_exact_closure_of, reduced_cycles, reduced_homology,
-                             reduced_homology_dims)
+                             graph_homology_dims, in_complex, is_exact_closure_of, reduced_cycles,
+                             reduced_homology, reduced_homology_dims)
 
 from conftest import random_based_complex, random_corpus, typed_entries
 
@@ -361,3 +361,36 @@ def test_in_complex_matches_face_enumeration(facets, face):
     face = tuple(sorted(face))
     assert in_complex(face, facets) == (face in all_faces)
     assert all(in_complex(f, facets) for f in all_faces)
+
+
+# -- closed forms against the ranks -------------------------------------------
+
+HOLLOW_TETRAHEDRON = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+# the 6-vertex real projective plane: every edge of K6 is in it, so it is not a flag complex
+RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+       (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(char=st.sampled_from([0, 2, 32003]),
+       facets=st.one_of(
+           st.lists(st.lists(st.integers(1, 8), unique=True, max_size=2), max_size=12),  # graphs
+           facet_lists(),
+           facet_lists().map(lambda facets: [[0, *f] for f in facets])))  # cones with apex 0
+@example(char=0, facets=[()])
+@example(char=2, facets=[(1,), (2,), (5,)])
+@example(char=32003, facets=[(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (4, 6), (7,)])
+@example(char=0, facets=[(1, 2), (2, 1), (1,), (2, 3), (3,), (4, 5), (1, 3)])
+@example(char=2, facets=[(1, 2, 3), (3, 2, 1), (1, 2), (4,)])
+@example(char=32003, facets=[(0, 1, 2), (0, 2, 3), (0, 3, 1), (0, 4)])
+@example(char=0, facets=[(0, *f) for f in RP2])
+@example(char=0, facets=HOLLOW_TETRAHEDRON)
+@example(char=0, facets=RP2)
+@example(char=2, facets=RP2)
+def test_closed_forms_match_the_ranks(char, facets):
+    # a cone (a vertex in every facet) has no homology; a graph's is counted,
+    # the same in every field; anything else is left to the ranks
+    dims = reduced_homology_dims(complex_of_facets(Field(char), facets))
+    if facets and set.intersection(*map(set, facets)):
+        assert dims == {}
+    assert graph_homology_dims(facets) == (dims if all(len(f) <= 2 for f in facets) else None)
