@@ -15,9 +15,9 @@ the requested lcm-lattice, which is checked after construction.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import combinations
-from operator import le
 
 from monres.linalg import Field, Matrix
 from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
@@ -34,7 +34,6 @@ class LatticeElement:
     A: frozenset
     rank: int
     covers: tuple       # ids of elements covered by this one (lower neighbours)
-    covered_by: tuple   # ids of elements covering this one (upper neighbours)
 
 
 @dataclass(frozen=True)
@@ -46,38 +45,39 @@ class SimplicialComplexAt:
 
 
 class LcmLattice:
-    def __init__(self, ideal: MonomialIdeal, elements_data):
-        """elements_data: list of (mdeg, A frozenset); order is canonicalised here."""
+    def __init__(self, ideal: MonomialIdeal, mdegs):
+        """The lattice of the lcms `mdegs` (exponent tuples), numbered in degree order.
+
+        The lower covers of m are the maximal elements among the
+        m^(k) = lcm{g in A_m : g_k < m_k}, k in supp m.  Proof: m^(k) < m, as
+        its k-th exponent is below m_k.  Any c < m has some c_k < m_k, so every
+        generator dividing c lies in that set, and c <= m^(k).  So the elements
+        below m are those below some m^(k).  The label of m^(k) is
+        S_k = {i in A_m : (g_i)_k < m_k}, as its generators divide m.
+        """
         self.ideal = ideal
         self.r = ideal.r
-        data = sorted(elements_data, key=lambda p: p[0].sort_key())
-        labels = [frozenset(A) for _, A in data]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate element labels")
-        # degree order is a linear extension, so the elements below j precede it;
-        # its covers are the maximal ones, found largest label first
-        covers_of: list = []
-        ranks: list = []
-        for j, Aj in enumerate(labels):
-            maximal: list = []
-            for i in sorted((i for i in range(j) if labels[i] < Aj), key=lambda i: -len(labels[i])):
-                if not any(labels[i] < labels[k] for k in maximal):
-                    maximal.append(i)
-            covers_of.append(sorted(maximal))
-            ranks.append(1 + max((ranks[i] for i in maximal), default=-1))
-        covered_by = [[] for _ in data]
-        for j, cov in enumerate(covers_of):
-            for i in cov:
-                covered_by[i].append(j)
-        self.elements = [
-            LatticeElement(i, data[i][0], labels[i], ranks[i],
-                           tuple(covers_of[i]), tuple(covered_by[i]))
-            for i in range(len(data))
-        ]
-        self.by_label = {e.A: e.id for e in self.elements}
+        gens = [g.exponents for g in ideal.gens]
+        # upto[k][x], below[k][x]: the generators whose k-th exponent is <= x, < x, for
+        # each exponent x an lcm can have at variable k (0 or a generator's)
+        upto, below = ([{x: frozenset(i for i, g in enumerate(gens, start=1) if op(g[k], x)) for x in {0, *col}}
+                        for k, col in enumerate(zip(*gens))] for op in (operator.le, operator.lt))
+        # degree order is a linear extension, so each element's covers precede it
+        data = sorted(mdegs, key=lambda m: (sum(m), m))
+        labels = [frozenset.intersection(*(upto[k][x] for k, x in enumerate(m))) for m in data]
+        self.by_label = {A: i for i, A in enumerate(labels)}
+        self.elements = []
+        for i, (m, A) in enumerate(zip(data, labels)):
+            maximal: list = []  # the S_k, largest first: a set inside a kept one is no cover
+            for S in sorted({A & below[k][x] for k, x in enumerate(m) if x}, key=len, reverse=True):
+                if not any(S < T for T in maximal):
+                    maximal.append(S)
+            covers = sorted(self.by_label[S] for S in maximal)
+            rank = 1 + max((self.elements[c].rank for c in covers), default=-1)
+            self.elements.append(LatticeElement(i, Monomial(m), A, rank, tuple(covers)))
         self._by_mdeg = {e.mdeg.exponents: e for e in self.elements}
         # exponent vectors: 0 is the bottom (the lcm of no generator), i is g_i
-        self._exponents = [ideal.one().exponents] + [g.exponents for g in ideal.gens]
+        self._exponents = [ideal.one().exponents] + gens
         self.bottom = self.by_label[frozenset()]
         self.top = self.by_label[frozenset(range(1, self.r + 1))]
         self.atom_ids = [self.by_label[frozenset([i])] for i in range(1, self.r + 1)]
@@ -104,10 +104,7 @@ class LcmLattice:
                         new[j] = None
             mdegs.update(new)
             frontier = list(new)
-        return LcmLattice(ideal, [
-            (Monomial(m), frozenset(i for i, g in enumerate(gens, start=1) if all(map(le, g, m))))
-            for m in mdegs
-        ])
+        return LcmLattice(ideal, mdegs)
 
     @staticmethod
     def from_labels(labels) -> "LcmLattice":
@@ -329,8 +326,12 @@ class LcmLattice:
             lat = LcmLattice.from_ideal(ideal)
         else:
             lat = LcmLattice.from_labels(labels)
-        given = {frozenset(A) for A in labels}
-        have = {e.A for e in lat.elements}
-        if given != have:
+        given: set = set()
+        for k, A in enumerate(labels):
+            if len(set(A)) < len(A) or frozenset(A) in given:
+                why = "repeats a generator" if len(set(A)) < len(A) else "is listed twice"
+                raise ValueError(f"the lattice JSON: elements[{k}]: label {list(A)} {why}")
+            given.add(frozenset(A))
+        if given != {e.A for e in lat.elements}:
             raise ValueError("element list does not match the lattice of the given ideal")
         return lat

@@ -315,9 +315,6 @@ class ConstructionOutput:
     is_complex: bool
     report: VerificationReport
 
-    def is_resolution(self) -> bool:
-        return self.report.is_resolution
-
     def is_minimal_resolution(self) -> bool:
         return self.report.is_resolution and self.report.is_minimal
 

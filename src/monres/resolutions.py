@@ -146,7 +146,10 @@ class MultigradedComplex:
             raise IdealParseError(f"{where}: 'char' is not an int")
         if len(doc["frames"]) != len(doc["levels"]) - 1:
             raise IdealParseError(f"{where}: {len(doc['frames'])} 'frames' for {len(doc['levels'])} 'levels'")
-        field = Field(doc.get("char", 0))
+        try:
+            field = Field(doc.get("char", 0))
+        except ValueError as e:
+            raise IdealParseError(f"{where}: {e}") from e
         names = doc["vars"]
 
         def monomial(text, at):
@@ -259,8 +262,6 @@ class TaylorBasis:
         names = self.lattice.ideal.names
         lines = []
         for m in sorted(self.by_elt):
-            if not self.by_elt[m]:
-                continue
             mdeg = self.lattice.element(m).mdeg.to_str(names)
             chs = " ; ".join(format_chain(c) for c in self.by_elt[m])
             lines.append(f"{mdeg} : {chs}")

@@ -280,6 +280,21 @@ def test_lattice_json_input(capsys, ideal_file, tmp_path):
     assert out3.strip().splitlines()[-1] == "totals: 1 3 2"
 
 
+@pytest.mark.parametrize("ideal", [{}, {"vars": ["x", "y"], "gens": ["x", "y"]}], ids=["labels", "ideal"])
+@pytest.mark.parametrize("elements, message", [
+    pytest.param([[], [1, 1]], "elements[1]: label [1, 1] repeats a generator", id="repeated-index"),
+    pytest.param([[], [1], [1]], "elements[2]: label [1] is listed twice", id="repeated-label"),
+])
+def test_lattice_json_lists_each_element_once(capsys, tmp_path, ideal, elements, message):
+    if ideal:
+        elements = elements + [[2], [1, 2]]
+    dump = tmp_path / "lattice.json"
+    dump.write_text(json.dumps({**ideal, "elements": [{"A": A} for A in elements]}))
+    assert main(["lattice", str(dump)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: the lattice JSON: {message}\n"
+
+
 def test_lattice_json_with_a_repeated_variable_is_rejected(capsys, tmp_path):
     # the ideal itself refuses two variables of one name, on every input path;
     # a dump naming an ideal that cannot be built is malformed input
@@ -385,6 +400,8 @@ def test_complex_dump_naming_no_ideal_is_parse_error(capsys, ideal_file, tmp_pat
     pytest.param("levels[0][0]", lambda d: {**d, "levels": [[5]] + d["levels"][1:]}, id="entry-not-object"),
     pytest.param("mdeg", lambda d: {**d, "levels": [[{"label": "1"}]] + d["levels"][1:]}, id="no-mdeg"),
     pytest.param("char", lambda d: {**d, "char": "2"}, id="char-not-int"),
+    *(pytest.param(f"the complex JSON: characteristic must be 0 or a prime < 2^31, got {p}",
+                   lambda d, p=p: {**d, "char": p}, id=f"char-{p}") for p in (4, -3, 2147483648)),
     pytest.param("the complex JSON: levels[1][2]: bad monomial factor ''",
                  lambda d: {**d, "levels": [d["levels"][0], d["levels"][1][:2] + [{"mdeg": "x**y"}]]
                             + d["levels"][2:]}, id="mdeg-not-a-monomial"),
@@ -395,6 +412,14 @@ def test_malformed_complex_dump_is_parse_error(capsys, ideal_file, tmp_path, key
     assert main(["verify", str(dump)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and key in err and "Traceback" not in err
+
+
+def test_complex_dump_takes_a_valid_characteristic(capsys, ideal_file, tmp_path):
+    dump = tmp_path / "ok.json"
+    for p in (0, 32003):
+        dump.write_text(json.dumps({**_complex_doc(capsys, ideal_file), "char": p}))
+        code, out = run(capsys, "verify", str(dump))
+        assert code == 0 and "PASS" in out
 
 
 @pytest.mark.parametrize("kind, key", [("lattice", "'A'"), ("complex", "'char'"),

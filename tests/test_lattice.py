@@ -11,7 +11,7 @@ import monres.lattice as lattice_module
 from monres.classify import classify, lattice_linear_greedy
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.monomials import Monomial, MonomialIdeal, random_minimal_ideal
+from monres.monomials import Monomial, MonomialIdeal, parse_ideal_text, random_minimal_ideal
 from monres.resolutions import (ClosureChains, atomic_lattice_resolution, closure_walk,
                                 minimize_resolution, taylor_resolution, verify_resolution)
 from monres.vcomplex import complex_of_facets, reduced_homology
@@ -290,16 +290,27 @@ def ref_mdeg_counts(ideal):
 
 
 def ref_covers(labels):
-    """(covers, covered_by) from the strict-inclusion matrix, by the triple loop."""
+    """Each element's covers, from the strict-inclusion matrix by the triple loop."""
     n = len(labels)
     below = [[labels[i] < labels[j] for j in range(n)] for i in range(n)]
-    covers, covered_by = [[] for _ in labels], [[] for _ in labels]
-    for j in range(n):
-        for i in range(n):
-            if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n)):
-                covers[j].append(i)
-                covered_by[i].append(j)
-    return covers, covered_by
+    return [[i for i in range(n) if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))]
+            for j in range(n)]
+
+
+def scan_covers(labels):
+    """Each element's covers, by scanning the smaller labels of the elements before it.
+
+    The labels are in a linear extension; the maximal smaller ones are found
+    largest first.  Quadratic in the number of labels.
+    """
+    covers = []
+    for j, Aj in enumerate(labels):
+        maximal: list = []
+        for i in sorted((i for i in range(j) if labels[i] < Aj), key=lambda i: -len(labels[i])):
+            if not any(labels[i] < labels[k] for k in maximal):
+                maximal.append(i)
+        covers.append(sorted(maximal))
+    return covers
 
 
 def ref_closure(labels, r, A):
@@ -317,7 +328,7 @@ def assert_matches_reference(lat, subsets):
     mdegs = sorted((Monomial(e) for e in counts), key=lambda m: m.sort_key())
     labels = [frozenset(i for i in range(1, ideal.r + 1) if ideal.generator(i).divides(m))
               for m in mdegs]
-    covers, covered_by = ref_covers(labels)
+    covers = ref_covers(labels)
     ranks = []
     for cov in covers:
         ranks.append(1 + max((ranks[i] for i in cov), default=-1))
@@ -325,7 +336,6 @@ def assert_matches_reference(lat, subsets):
     assert [e.mdeg for e in lat.elements] == mdegs
     assert [e.A for e in lat.elements] == labels
     assert [list(e.covers) for e in lat.elements] == covers
-    assert [list(e.covered_by) for e in lat.elements] == covered_by
     assert [e.rank for e in lat.elements] == ranks
     for A in subsets:
         assert lat.closure(A) == ref_closure(labels, ideal.r, frozenset(A))
@@ -353,7 +363,28 @@ def small_ideals(draw):
 def test_lattice_matches_reference_on_generated_ideals(data):
     ideal = data.draw(small_ideals())
     subsets = data.draw(st.lists(st.frozensets(st.integers(1, ideal.r)), max_size=12))
-    assert_matches_reference(LcmLattice.from_ideal(ideal), subsets)
+    lat = LcmLattice.from_ideal(ideal)
+    assert_matches_reference(lat, subsets)
+    # the same lattice from its labels alone: one variable per nonbottom element
+    assert_matches_reference(LcmLattice.from_labels(labels_of(lat)), subsets)
+
+
+def test_covers_match_the_pairwise_scan_at_mid_size():
+    lat = LcmLattice.from_ideal(random_minimal_ideal(30, 8, 3, random.Random(9)))
+    assert len(lat) == 1534
+    assert [list(e.covers) for e in lat.elements] == scan_covers([e.A for e in lat.elements])
+
+
+def test_huge_exponents_build_the_same_lattice():
+    # the exponent 10^9 stands where 2 does, in the same order within its column
+    def shape(text):
+        lat = LcmLattice.from_ideal(parse_ideal_text(text)[0])
+        return {e.A: (e.rank, {lat.element(c).A for c in e.covers}) for e in lat.elements}, lat
+
+    small, _ = shape("vars x y z; gens x^2*y y^2*z x*z^3")
+    huge, lat = shape("vars x y z; gens x^1000000000*y y^2*z x*z^3")
+    assert huge == small
+    assert lat.element(lat.top).mdeg.exponents == (10 ** 9, 2, 3)
 
 
 def test_lattice_matches_reference_on_label_lattices():
