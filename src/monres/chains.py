@@ -153,8 +153,9 @@ def initial_part(ideal, c: Chain) -> Chain:
 # -- text format -----------------------------------------------------
 #
 # `1245-1456+1234` (unit coefficients implicit); an explicit coefficient
-# is written `3*124` or `-1/2*13`.  With more than 9 vertices the face
-# is dot-separated: `1.10.12`.  The empty face is `{}`.
+# is written `3*124` or `-1/2*13`.  A face with a vertex above 9 is
+# dot-separated, `1.10.12`, but a single vertex is written bare, `10`, so
+# a reader needs the chain's dimension.  The empty face is `{}`.
 
 
 def format_face(f) -> str:
@@ -165,11 +166,12 @@ def format_face(f) -> str:
     return ".".join(str(v) for v in f)
 
 
-def parse_face(text: str) -> tuple:
+def parse_face(text: str, dim: int) -> tuple:
+    """A dotless face is dim + 1 digits, or one vertex when dim = 0."""
     text = text.strip()
     if text in ("{}", "()"):
         return ()
-    if "." in text:
+    if "." in text or dim == 0:
         return face(int(p) for p in text.split("."))
     return face(int(ch) for ch in text)
 
@@ -191,10 +193,11 @@ def format_chain(c: Chain) -> str:
     return "".join(parts)
 
 
-def parse_chain(field: Field, text: str) -> Chain:
+def parse_chain(field: Field, text: str, dim: int) -> Chain:
+    """The nonzero dim-chain written `text` (see `format_chain`)."""
     text = "".join(text.split())
     if text in ("0", ""):
-        raise ValueError("cannot parse a zero chain without a dimension")
+        raise ValueError("cannot parse a zero chain")
     terms: dict = {}
     token = ""
     chunks = []
@@ -219,6 +222,9 @@ def parse_chain(field: Field, text: str) -> Chain:
             coeff, face_text = sign, chunk
         if not face_text:
             raise ValueError(f"empty term in chain {text!r}")
-        f = parse_face(face_text)
+        f = parse_face(face_text, dim)
         terms[f] = field.add(terms.get(f, field.zero), coeff)
-    return Chain(field, terms)
+    c = Chain(field, terms, dim=dim)
+    if c.is_zero():
+        raise ValueError("cannot parse a zero chain")
+    return c

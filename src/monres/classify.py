@@ -200,11 +200,12 @@ class RlmAnalysis:
 def _certify_exactness_all_choices(sym) -> bool:
     """All restricted frames exact for every preimage choice.
 
-    Uses constant-pivot elimination: if every restricted matrix has a
-    parameter-independent rank and the rank bookkeeping gives vanishing
-    homology (H0 of the restriction included), the construction is a
-    resolution for every parameter value.  A rank that is not certified
-    stops the restricted-exactness walk `first_inexact_element`.
+    The restricted-exactness walk `first_inexact_element` ranks only at
+    the elements that carry a basis class, here by constant-pivot
+    elimination: if each of those ranks is parameter-independent and the
+    walk finds every restriction exact (H0 included), the construction is
+    a resolution for every parameter value.  A rank that is not certified
+    stops the walk.
     """
     lat, field = sym.lat, sym.field
 
@@ -212,8 +213,8 @@ def _certify_exactness_all_choices(sym) -> bool:
         r, certified = certified_constant_rank(field, [[sym.matrices[i][u][v] for v in cols] for u in rows])
         return r if certified else None
 
-    mdegs = [[lat.element(m).mdeg.exponents for m, _, _ in lv] for lv in sym.levels]
-    return first_inexact_element(lat, mdegs, rank) is None
+    at = [[m for m, _, _ in lv] for lv in sym.levels]
+    return first_inexact_element(lat, field, at, rank) is None
 
 
 def analyse_rlm(lat: LcmLattice, field: Field) -> RlmAnalysis:

@@ -149,9 +149,9 @@ def cmd_approx(args):
     return code
 
 
-def _choice_chain(field, text):
+def _choice_chain(field, text, dim):
     try:
-        return parse_chain(field, text)
+        return parse_chain(field, text, dim)
     except (ValueError, ZeroDivisionError) as e:
         raise IdealParseError(f"chain {text!r} in the choices file: {e}") from e
 
@@ -178,13 +178,13 @@ def _load_choices(lat, field, path):
     given = {}
     for entry in bases:
         m = lat.id_of_label(entry["A"])
-        given[(m, entry["dim"])] = [_choice_chain(field, t) for t in entry["chains"]]
+        given[(m, entry["dim"])] = [_choice_chain(field, t, entry["dim"]) for t in entry["chains"]]
     if given:
         hb = hb.with_chains(given)
     preimages = {}
     for entry in lifts:
         m = lat.id_of_label(entry["A"])
-        preimages[(m, entry["dim"], entry.get("j", 0))] = _choice_chain(field, entry["chain"])
+        preimages[(m, entry["dim"], entry.get("j", 0))] = _choice_chain(field, entry["chain"], entry["dim"])
     return hb, preimages
 
 

@@ -9,7 +9,7 @@ covered elements as facets.
 Abstract atomic lattices (given only by their labels, e.g. through the
 JSON dump format) are supported by synthesising a monomial ideal with
 one variable per nonbottom element; the synthesised ideal has exactly
-the requested lcm-lattice, which is checked after construction.
+the requested lcm-lattice, whose multidegrees are read off the labels.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class LcmLattice:
             covers = sorted(self.by_label[S] for S in maximal)
             rank = 1 + max((self.elements[c].rank for c in covers), default=-1)
             self.elements.append(LatticeElement(i, Monomial(m), A, rank, tuple(covers)))
-        self._by_mdeg = {e.mdeg.exponents: e for e in self.elements}
+        self.by_mdeg = {e.mdeg.exponents: e.id for e in self.elements}
         # exponent vectors: 0 is the bottom (the lcm of no generator), i is g_i
         self._exponents = [ideal.one().exponents] + gens
         self.bottom = self.by_label[frozenset()]
@@ -112,9 +112,13 @@ class LcmLattice:
 
         The family must contain the empty set, every singleton of its
         vertex union, the union itself, and be closed under pairwise
-        intersection.  A monomial ideal with this lcm-lattice is
-        synthesised (one variable per nonbottom element plus one shared
-        variable) and used for all multigraded data.
+        intersection.  The synthesised ideal has a variable z shared by all
+        generators and a variable y_B per nonbottom label B:
+        g_i = z * prod_{B not containing i} y_B.  The lcm of the generators in
+        G is z^[G nonempty] * prod_{B not containing G} y_B.  A label contains
+        G iff it contains the meet of the labels containing G, so these lcms
+        are those of the labels A in the family, and the generators dividing
+        lcm(A) are those in every label containing A, the set A itself.
         """
         fam = {frozenset(A) for A in labels}
         verts = sorted(set().union(*fam)) if fam else []
@@ -133,15 +137,9 @@ class LcmLattice:
                     raise ValueError(f"labels not intersection-closed at {sorted(a)} ^ {sorted(b)}")
         nonbottom = sorted((A for A in fam if A), key=lambda A: (len(A), sorted(A)))
         names = ["z"] + [f"y{k}" for k in range(len(nonbottom))]
-        gens = []
-        for i in verts:
-            exps = [1] + [0 if i in A else 1 for A in nonbottom]
-            gens.append(Monomial(tuple(exps)))
-        ideal = MonomialIdeal(names, gens)
-        lat = LcmLattice.from_ideal(ideal)
-        if {e.A for e in lat.elements} != fam:
-            raise ValueError("label family is not realisable as an lcm-lattice")
-        return lat
+        gens = [Monomial((1, *(int(i not in B) for B in nonbottom))) for i in verts]
+        mdegs = [(int(bool(A)), *(int(not A <= B) for B in nonbottom)) for A in fam]
+        return LcmLattice(MonomialIdeal(names, gens), mdegs)
 
     # -- basic queries -----------------------------------------------
     def __len__(self):
@@ -168,7 +166,7 @@ class LcmLattice:
         if not A <= self.elements[self.top].A:
             raise ValueError(f"subset {sorted(A)} out of range")
         cols = zip(self._exponents[0], *(self._exponents[i] for i in A))
-        return self._by_mdeg[tuple(map(max, cols))].A
+        return self.elements[self.by_mdeg[tuple(map(max, cols))]].A
 
     def closure_id(self, A) -> int:
         return self.by_label[self.closure(A)]

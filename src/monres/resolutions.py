@@ -759,35 +759,71 @@ class VerificationReport:
         return "\n".join(lines + self.notes)
 
 
-def first_inexact_element(lat: LcmLattice, mdegs, rank):
+def first_inexact_element(lat: LcmLattice, field: Field, at, rank):
     """The first non-bottom element where a frame restricted below it is not exact, or None.
 
-    ``mdegs[i][j]`` is the exponent vector of basis element j at level i.  At
-    each element e, in element order, the restriction keeps the basis elements
-    whose exponent vector divides e's, without its trailing empty levels, and
+    ``at[i][j]`` is the lattice element where basis element j of level i
+    sits, and F_{<=e} keeps the basis elements whose element lies below e.
+    Elements are taken in element order.  Where a basis element sits at e,
     ``rank(i, rows, cols)`` is the rank of map i on the kept rows and columns,
-    or None where it is not known.  Each map is ranked at most once, level by
-    level, and the walk stops at e at the first level i where
-    ``len(keep[i]) != rank(i) + rank(i + 1)`` or a rank is None.  A frame
-    resolves S/M iff every such restriction is exact (Peeva-Velasco).
+    or None where it is not known (the walk then stops at e); each map is
+    ranked at most once, level by level, and F_{<=e} is exact unless some
+    level i has ``len(keep[i]) != rank(i) + rank(i + 1)``.  At the bottom
+    this only records whether F_{<=0} is exact; elsewhere an inexact F_{<=e}
+    stops the walk.  A frame resolves S/M iff every such F_{<=e} is exact
+    (Peeva-Velasco).  An element with no basis element is decided by
+    `homology_dims_at` alone:
+
+    If F_{<=y} is exact for every 0 < y < e, which holds when the walk
+    reaches e, then H_n(F_{<e}) is the sum over p + q = n of
+    H~_{p-1}(Delta_e) (x) H_q(F_{<=0}).  Proof: the F_{<=c}, c a lower cover
+    of e, cover F_{<e}, and F_{<=c} meets F_{<=c'} in F_{<=c^c'}, as each basis
+    element sits at an element.  So F_{<e} is the total complex of the
+    Mayer-Vietoris double complex whose column p is the sum of F_{<=meet s}
+    over the (p+1)-sets s of covers.  Its part over N_e = {s : meet s != 0},
+    the nerve `homology_dims_at` reads, is a subcomplex (faces of s are in
+    N_e) whose terms F_{<=meet s}, 0 < meet s < e, are exact, so it is
+    acyclic.  Every other s has meet 0, so the quotient is
+    C(simplex on the covers, N_e) (x) F_{<=0}, and H_p(simplex, N_e) =
+    H~_{p-1}(N_e) = H~_{p-1}(Delta_e); Kunneth over a field gives the sum.
+    Hence where no basis element sits at e, F_{<=e} = F_{<e} is exact iff
+    F_{<=0} is exact or H~(Delta_e) = 0.  In a resolution F_{<=0} is the one
+    basis element of level 0, with homology k, and this is the lcm-lattice
+    formula of Gasharov-Peeva-Welker.
     """
+    carriers = {m for lv in at for m in lv}
+    labels = [[lat.elements[m].A for m in lv] for lv in at]
+    bottom_exact = True     # F_{<=0} is empty until the bottom, first in order, is ranked
     for e in lat.elements:
-        if e.id == lat.bottom:
+        if e.id not in carriers:
+            if e.id != lat.bottom and not bottom_exact and lat.homology_dims_at(e.id, field):
+                return e.id
             continue
-        bound = e.mdeg.exponents
-        keep = [[j for j, a in enumerate(lv) if all(map(le, a, bound))] for lv in mdegs]
+        keep = [[j for j, A in enumerate(lv) if A <= e.A] for lv in labels]
         while len(keep) > 1 and not keep[-1]:
             keep.pop()
-        ranks = [0]
+        ranks, exact = [0], True
         for i in range(len(keep)):
             ranks.append(rank(i + 1, keep[i], keep[i + 1]) if i + 1 < len(keep) else 0)
-            if ranks[i + 1] is None or len(keep[i]) != ranks[i] + ranks[i + 1]:
+            if ranks[i + 1] is None:
                 return e.id
+            if len(keep[i]) != ranks[i] + ranks[i + 1]:
+                exact = False
+                break
+        if e.id == lat.bottom:
+            bottom_exact = exact
+        elif not exact:
+            return e.id
     return None
 
 
 def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> VerificationReport:
-    """PV criterion: homogeneity, d^2 = 0, restricted exactness on L_M, H0."""
+    """PV criterion: homogeneity, d^2 = 0, restricted exactness on L_M, H0.
+
+    Restricted exactness is read off `first_inexact_element`, which needs
+    every basis element at an element of L: a basis multidegree outside L
+    leaves the complex unverified.
+    """
     if lat is None:
         lat = LcmLattice.from_ideal(C.ideal)
     ideal = C.ideal
@@ -810,13 +846,18 @@ def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> V
         )
 
     restriction_failure = None
-    if homogeneous and cx_ok:
-        bad = first_inexact_element(lat, [[e.mdeg.exponents for e in lv] for lv in C.levels],
+    off = next((e.mdeg for lv in C.levels for e in lv if e.mdeg.exponents not in lat.by_mdeg), None)
+    if not (homogeneous and cx_ok):
+        restriction_failure = "(skipped: not a homogeneous complex)"
+    elif off is not None:
+        restriction_failure = (f"(skipped: basis multidegree {off.to_str(ideal.names)} "
+                               "is not an element of the lcm-lattice)")
+    else:
+        at = [[lat.by_mdeg[e.mdeg.exponents] for e in lv] for lv in C.levels]
+        bad = first_inexact_element(lat, C.field, at,
                                     lambda i, rows, cols: C.frames[i].submatrix(rows, cols).rank())
         if bad is not None:
             restriction_failure = lat.element(bad).mdeg.to_str(ideal.names)
-    else:
-        restriction_failure = "(skipped: not a homogeneous complex)"
 
     is_resolution = homogeneous and cx_ok and h0_ok and restriction_failure is None
     return VerificationReport(homogeneous, cx_ok, h0_ok, restriction_failure,

@@ -1,6 +1,7 @@
 """Shared fixtures: the named examples used across the suite."""
 
 import random
+import re
 
 import pytest
 
@@ -328,3 +329,11 @@ def pytest_terminal_summary(terminalreporter):
         for n in sorted(seen):
             terminalreporter.write_line(
                 f"ACCEPTANCE {n}: {seen[n]} - {ACCEPTANCE_CRITERIA[n]}")
+
+
+def ch(text):
+    """The QQ chain written `text` with one-digit vertices: its first face gives its dimension."""
+    from monres.chains import parse_chain
+
+    first = re.split(r"(?<=.)[+-]", text.strip())[0].lstrip("+-").rsplit("*", 1)[-1]
+    return parse_chain(Field(0), text, -1 if first in ("{}", "()") else len(first) - 1)

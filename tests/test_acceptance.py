@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from monres.chains import Chain, boundary, parse_chain, support
+from monres.chains import Chain, boundary, support
 from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
@@ -20,7 +20,7 @@ from monres.resolutions import (atomic_lattice_resolution, maximal_approximation
                                 verify_resolution)
 from monres.vcomplex import class_in_homology, complex_of_facets, exact_closure, is_exact_closure_of
 
-from conftest import random_based_complex, random_corpus
+from conftest import ch, random_based_complex, random_corpus
 
 
 QQ = Field(0)
@@ -31,10 +31,6 @@ GOLDEN_TABLES = {
     "rigid4": [1, 4, 4, 1],
     "hexagon": [1, 6, 9, 6, 2],
 }
-
-
-def ch(text):
-    return parse_chain(QQ, text)
 
 
 def _totals(table):

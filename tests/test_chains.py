@@ -1,8 +1,10 @@
 """Chains on the generator simplex: boundary, multidegree, Taylor tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.chains import (Chain, boundary, format_chain, initial_part, mdeg_chain,
                            parse_chain, support)
@@ -10,14 +12,10 @@ from monres.lattice import LcmLattice
 from monres.linalg import Field
 from monres.monomials import parse_ideal_text, parse_monomial
 
-from conftest import is_taylor_chain_at
+from conftest import ch, is_taylor_chain_at
 
 
 QQ = Field(0)
-
-
-def ch(text):
-    return parse_chain(QQ, text)
 
 
 def test_boundary_edge():
@@ -98,7 +96,7 @@ def test_boundary_mdeg_divides():
 def test_format_parse_roundtrip():
     for text in ("1245-1456+1234", "-1+2", "3*12-1/2*13", "123"):
         c = ch(text)
-        assert parse_chain(QQ, format_chain(c)) == c
+        assert parse_chain(QQ, format_chain(c), c.dim) == c
     for text in ("1+", "1++2", "+"):
         with pytest.raises(ValueError, match="empty term"):
             ch(text)
@@ -107,7 +105,39 @@ def test_format_parse_roundtrip():
 def test_format_many_vertices():
     c = Chain.from_face(QQ, (1, 10, 12))
     assert format_chain(c) == "1.10.12"
-    assert parse_chain(QQ, "1.10.12") == c
+    assert parse_chain(QQ, "1.10.12", 2) == c
+    # a lone vertex above 9 is written bare; its dimension says it is one vertex
+    assert format_chain(ch("-1+3").add(Chain.from_face(QQ, (10,)))) == "-1+3+10"
+    assert parse_chain(QQ, "-1+10", 0) == Chain(QQ, {(1,): -QQ.one, (10,): QQ.one})
+    assert parse_chain(QQ, "10", 1) == Chain.from_face(QQ, (0, 1))
+    with pytest.raises(ValueError, match="declared dimension"):
+        parse_chain(QQ, "1.10", 0)
+
+
+@st.composite
+def nonzero_chains(draw):
+    """A nonzero chain on at most 13 vertices, over QQ, GF(2) or GF(32003)."""
+    field = Field(draw(st.sampled_from([0, 2, 32003])))
+    n = draw(st.integers(1, 13))
+    dim = draw(st.integers(-1, min(n, 4) - 1))
+    faces = draw(st.lists(st.lists(st.integers(1, n), min_size=dim + 1, max_size=dim + 1, unique=True),
+                          min_size=1, max_size=6))
+    ints = st.integers(-40, 40)
+    coeffs = st.builds(Fraction, ints, st.integers(1, 9)) if field.char == 0 else ints
+    terms: dict = {}
+    for f in faces:
+        key = tuple(sorted(f))
+        terms[key] = field.add(terms.get(key, field.zero), field.of(draw(coeffs)))
+    c = Chain(field, terms, dim=dim)
+    if c.is_zero():
+        c = Chain.from_face(field, sorted(faces[0]))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=nonzero_chains())
+def test_chain_text_round_trip(c):
+    assert parse_chain(c.field, format_chain(c), c.dim) == c
 
 
 def test_chain_combination():

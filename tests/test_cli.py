@@ -58,6 +58,39 @@ def test_resolve_verify_roundtrip(capsys, ideal_file, tmp_path):
     assert doc1["frames"] == doc2["frames"]
 
 
+@pytest.mark.parametrize("command", ["taylor", "minimize", "resolve"])
+@pytest.mark.parametrize("name", sorted(IDEALS))
+def test_own_dumps_verify(capsys, ideal_file, tmp_path, command, name):
+    # every basis multidegree of the program's own resolutions lies in the lcm-lattice
+    code, out = run(capsys, "--json", command, ideal_file(name))
+    assert code == 0
+    dump = tmp_path / "res.json"
+    dump.write_text(out)
+    code, report = run(capsys, "verify", str(dump))
+    assert code == 0 and report.endswith("resolution: PASS\n")
+
+
+@pytest.mark.parametrize("doc, mdeg", [
+    # exact below x, the one element of L above 1, yet S(-x^2) lies in the kernel
+    ({"char": 0, "vars": ["x"], "gens": ["x"], "levels": [[{"mdeg": "1"}], [{"mdeg": "x"}, {"mdeg": "x^2"}]],
+      "frames": [[["1", "0"]]]}, "x^2"),
+    # exact below x, yet H_1 = S/(x)(-y)
+    ({"char": 0, "vars": ["x", "y"], "gens": ["x"],
+      "levels": [[{"mdeg": "1"}], [{"mdeg": "x"}, {"mdeg": "y"}], [{"mdeg": "x*y"}]],
+      "frames": [[["1", "0"]], [["0"], ["1"]]]}, "y"),
+], ids=["kernel", "homology"])
+def test_basis_off_the_lattice_is_unverifiable(capsys, tmp_path, doc, mdeg):
+    dump = tmp_path / "off.json"
+    dump.write_text(json.dumps(doc))
+    code, report = run(capsys, "verify", str(dump))
+    skipped = f"(skipped: basis multidegree {mdeg} is not an element of the lcm-lattice)"
+    assert code == 2
+    assert f"restricted frames exact: no (fails at {skipped})" in report.splitlines()
+    assert report.endswith("resolution: FAIL\n")
+    code, out = run(capsys, "--json", "verify", str(dump))
+    assert code == 2 and json.loads(out)["restriction_failure"] == skipped
+
+
 def test_verify_failure_exit_code(capsys, ideal_file, tmp_path):
     code, out = run(capsys, "--json", "resolve", ideal_file("triangle"))
     doc = json.loads(out)
@@ -490,3 +523,13 @@ def test_choices_preimage_without_column_is_precondition(capsys, ideal_file, tmp
     assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: preimage at") and "names no construction column" in err
+
+
+def test_choices_read_a_vertex_above_9(capsys, tmp_path):
+    # `format_chain` writes the vertex {10} bare, `10`; dim 0 reads it as one vertex, not the face {0, 1}
+    ideal = tmp_path / "ten.ideal"
+    ideal.write_text("vars a b c d e f g h i j k; gens a*k b*k c d e f g h i j\n")
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps({"bases": [{"A": [1, 10], "dim": 0, "chains": ["-1+10"]}]}))
+    code, out = run(capsys, "poset", str(ideal), "--choices", str(path))
+    assert code == 0 and out.endswith("minimal=yes\n")

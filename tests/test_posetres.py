@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monres.chains import Chain, boundary, parse_chain
+from monres.chains import Chain, boundary
 from monres.linalg import Field, Matrix
 from monres.posetres import (HomologyBasis, SymbolicRlm, certified_constant_rank,
                              extract_basis_and_preimages, mv_connecting,
@@ -15,15 +15,11 @@ from monres.resolutions import atomic_lattice_resolution, maximal_approximation
 from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, prune_facets,
                              reduced_homology, reduced_homology_dims)
 
-from conftest import IDEALS, LATTICES, random_corpus
+from conftest import IDEALS, LATTICES, ch, random_corpus
 from test_vcomplex import facet_lists, ref_faces_of
 
 
 QQ = Field(0)
-
-
-def ch(text):
-    return parse_chain(QQ, text)
 
 
 def rows(m):

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monres.chains import Chain, boundary, format_chain, parse_chain, support
+from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import parse_ideal_text, random_minimal_ideal
@@ -23,14 +23,10 @@ from monres.resolutions import (ChangeOfBasisError, MgBasisElement, MultigradedC
                                 taylor_basis_from_resolution, taylor_resolution,
                                 transport_via_betti_poset, verify_resolution)
 
-from conftest import LATTICES, DenseMatrix, is_taylor_chain_at, random_corpus, typed_entries
+from conftest import LATTICES, DenseMatrix, ch, is_taylor_chain_at, random_corpus, typed_entries
 
 
 QQ = Field(0)
-
-
-def ch(text):
-    return parse_chain(QQ, text)
 
 
 def faces(*texts):
@@ -468,7 +464,7 @@ def test_first_inexact_element_matches_restricted_complexes(lattices, char):
     verdicts = set()
     for lat in lattices.values():
         _, C = atomic_lattice_resolution(lat, field)
-        mdegs, cases = [[e.mdeg.exponents for e in lv] for lv in C.levels], [C]
+        at, cases = [[lat.by_mdeg[e.mdeg.exponents] for e in lv] for lv in C.levels], [C]
         for i in range(1, len(C.levels)):
             # the first stored entry of map i, zeroed
             rows = [dict(row) for row in C.frames[i].rows]
@@ -477,11 +473,12 @@ def test_first_inexact_element_matches_restricted_complexes(lattices, char):
             frames = C.frames[:i] + [Matrix.sparse(field, C.frames[i].ncols, rows)] + C.frames[i + 1:]
             cases.append(MultigradedComplex(C.ideal, field, C.levels, frames))
         for D in cases:
-            got = first_inexact_element(lat, mdegs, lambda i, rows, cols: D.frames[i].submatrix(rows, cols).rank())
+            got = first_inexact_element(lat, field, at,
+                                        lambda i, rows, cols: D.frames[i].submatrix(rows, cols).rank())
             assert got == ref_first_inexact_element(D, lat)
             verdicts.add(got is None)
         # an unknown rank stops the walk at the first element that needs one
-        assert first_inexact_element(lat, mdegs, lambda i, rows, cols: None) == min(
+        assert first_inexact_element(lat, field, at, lambda i, rows, cols: None) == min(
             e.id for e in lat.elements if e.id != lat.bottom)
     assert verdicts == {True, False}
 
@@ -880,6 +877,56 @@ def test_minimize_matches_dense_reference_past_pivots_other_than_one(case, data)
     assert basis.flat() == ref_basis.flat()
 
 
+def cone_of_the_identity(D):
+    """Cone(id_D): level n is D_n + D_{n-1}, d(a, b) = (da + b, -db); exact below every element."""
+    f, lv = D.field, D.levels + [[]]
+
+    def d(n):
+        """The rows of d_n: D_n -> D_{n-1}; none at n = 0, zero rows above the top."""
+        return [] if n == 0 else D.frames[n].rows if n < len(D.levels) else [{} for _ in lv[n - 1]]
+
+    levels = [[MgBasisElement(f"{k}:{j}", e.mdeg, n) for k in (n, n - 1) if k >= 0 for j, e in enumerate(lv[k])]
+              for n in range(len(lv))]
+    frames: list = [None]
+    for n in range(1, len(lv)):
+        a = len(lv[n])
+        # rows of D_{n-1}: d_n on the D_n columns and the identity on the D_{n-1} columns;
+        # rows of D_{n-2}: -d_{n-1} on the D_{n-1} columns
+        rows = [{**row, a + r: f.one} for r, row in enumerate(d(n))]
+        rows += [{a + c: f.neg(x) for c, x in row.items()} for row in d(n - 1)]
+        frames.append(Matrix.sparse(f, a + len(lv[n - 1]), rows))
+    return MultigradedComplex(D.ideal, f, levels, frames)
+
+
+KINDS = ["atomic", "minimized", "taylor", "top dropped", "cone of top dropped"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=taylor_cases(), kind=st.sampled_from(KINDS))
+def test_first_inexact_element_matches_the_rank_everywhere_walk(case, kind):
+    # the walk ranks only where a basis element sits; the oracle ranks every restriction
+    field, lat = case
+    if kind in ("minimized", "taylor"):
+        C = taylor_resolution(lat.ideal, field)
+        C = C if kind == "taylor" else minimize_resolution(C, lat)[0]
+    else:
+        C = atomic_lattice_resolution(lat, field)[1]
+    dropped = None
+    if "dropped" in kind:
+        # without its last basis element the top level leaves a cycle unkilled
+        top, dropped = C.length, C.levels[C.length][-1]
+        frame = C.frames[top].submatrix(range(C.frames[top].nrows), range(C.frames[top].ncols - 1))
+        C = MultigradedComplex(C.ideal, field, C.levels[:top] + [C.levels[top][:-1]], C.frames[:top] + [frame])
+    if kind.startswith("cone"):
+        # F_{<=0} is exact, so elements without a basis element are exact whatever their homology
+        C = cone_of_the_identity(C)
+        assert C.is_complex() and C.homogeneity_failure() is None
+    at = [[lat.by_mdeg[e.mdeg.exponents] for e in lv] for lv in C.levels]
+    got = first_inexact_element(lat, field, at, lambda i, rows, cols: C.frames[i].submatrix(rows, cols).rank())
+    assert got == ref_first_inexact_element(C, lat)
+    assert got == (lat.by_mdeg[dropped.mdeg.exponents] if kind == "top dropped" else None)
+
+
 @settings(max_examples=25, deadline=None)
 @given(case=taylor_cases())
 def test_each_cancellation_matches_dense_reference(case):
@@ -959,10 +1006,16 @@ def test_minimize_builds_one_matrix_per_level(monkeypatch):
 @pytest.mark.parametrize("name", ["hexagon", "stable7", "wide6"])
 def test_verify_reads_exactness_from_ranks(lattices, monkeypatch, name, char):
     # restricted exactness needs no echelon form and no kernel basis: each
-    # map of each restricted frame is ranked once, by forward elimination
+    # map of the restricted frame at each element that carries a basis
+    # element is ranked once, by forward elimination; the other elements read
+    # the homology dims that the resolution's own walk cached
     lat, field = lattices[name], Field(char)
     _, C = atomic_lattice_resolution(lat, field)
-    maps = sum(C.restrict_to(e.mdeg).length for e in lat.elements if e.id != lat.bottom)
+    carriers = {b.mdeg.exponents for lv in C.levels for b in lv}
+    maps = sum(C.restrict_to(e.mdeg).length for e in lat.elements if e.mdeg.exponents in carriers)
+    # against the maps of every restriction: wide6 has a basis element at every element
+    everywhere = sum(C.restrict_to(e.mdeg).length for e in lat.elements)
+    assert (maps, everywhere) == {"hexagon": (46, 58), "stable7": (39, 82), "wide6": (43, 43)}[name]
     calls = {"rref": 0, "kernel_basis": 0, "rank": 0}
 
     def counting(attr, method):
