@@ -149,11 +149,16 @@ def cmd_approx(args):
     return code
 
 
-def _choice_chain(field, text, dim):
+def _choice_chain(field, text, dim, r):
+    """The chain `text` of dimension `dim` on the generators 1..r; a parse error otherwise."""
     try:
-        return parse_chain(field, text, dim)
+        chain = parse_chain(field, text, dim)
     except (ValueError, ZeroDivisionError) as e:
         raise IdealParseError(f"chain {text!r} in the choices file: {e}") from e
+    bad = next((v for f in chain.faces() for v in f if not 1 <= v <= r), None)
+    if bad is not None:
+        raise IdealParseError(f"chain {text!r} in the choices file: vertex {bad} is not a generator 1..{r}")
+    return chain
 
 
 def _choice_entries(doc, key, fields):
@@ -178,13 +183,13 @@ def _load_choices(lat, field, path):
     given = {}
     for entry in bases:
         m = lat.id_of_label(entry["A"])
-        given[(m, entry["dim"])] = [_choice_chain(field, t, entry["dim"]) for t in entry["chains"]]
+        given[(m, entry["dim"])] = [_choice_chain(field, t, entry["dim"], lat.r) for t in entry["chains"]]
     if given:
         hb = hb.with_chains(given)
     preimages = {}
     for entry in lifts:
         m = lat.id_of_label(entry["A"])
-        preimages[(m, entry["dim"], entry.get("j", 0))] = _choice_chain(field, entry["chain"], entry["dim"])
+        preimages[(m, entry["dim"], entry.get("j", 0))] = _choice_chain(field, entry["chain"], entry["dim"], lat.r)
     return hb, preimages
 
 
@@ -247,6 +252,7 @@ def cmd_verify(args):
             "complex": report.complex,
             "h0_ok": report.h0_ok,
             "restriction_failure": report.restriction_failure,
+            "restriction_skipped": report.restriction_skipped,
             "resolution": report.is_resolution,
             "minimal": report.is_minimal,
         }, indent=2))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from monres.linalg import Field, Matrix
@@ -48,34 +49,44 @@ class LcmLattice:
     def __init__(self, ideal: MonomialIdeal, mdegs):
         """The lattice of the lcms `mdegs` (exponent tuples), numbered in degree order.
 
-        The lower covers of m are the maximal elements among the
-        m^(k) = lcm{g in A_m : g_k < m_k}, k in supp m.  Proof: m^(k) < m, as
-        its k-th exponent is below m_k.  Any c < m has some c_k < m_k, so every
-        generator dividing c lies in that set, and c <= m^(k).  So the elements
-        below m are those below some m^(k).  The label of m^(k) is
-        S_k = {i in A_m : (g_i)_k < m_k}, as its generators divide m.
+        Labels are built as bitmasks, bit i for generator i.  The lower covers
+        of m are the maximal elements among the m^(k) = lcm{g in A_m : g_k < m_k},
+        k in supp m.  Proof: m^(k) < m, as its k-th exponent is below m_k.  Any
+        c < m has some c_k < m_k, so every generator dividing c lies in that
+        set, and c <= m^(k).  So the elements below m are those below some
+        m^(k).  The label of m^(k) is S_k = {i in A_m : (g_i)_k < m_k}, as its
+        generators divide m.
         """
         self.ideal = ideal
         self.r = ideal.r
         gens = [g.exponents for g in ideal.gens]
-        # upto[k][x], below[k][x]: the generators whose k-th exponent is <= x, < x, for
-        # each exponent x an lcm can have at variable k (0 or a generator's)
-        upto, below = ([{x: frozenset(i for i, g in enumerate(gens, start=1) if op(g[k], x)) for x in {0, *col}}
-                        for k, col in enumerate(zip(*gens))] for op in (operator.le, operator.lt))
+        # upto[k][x], below[k][x]: the generators whose k-th exponent is <= x, < x, for each
+        # exponent x an lcm can have at variable k (0 or a generator's), by one sort per k
+        upto, below = [{0: 0} for _ in ideal.names], [{0: 0} for _ in ideal.names]
+        for up, lo, col in zip(upto, below, zip(*gens)):
+            acc = 0
+            for x, i in sorted(zip(col, range(1, self.r + 1))):
+                lo.setdefault(x, acc)
+                acc = up[x] = acc | 1 << i
         # degree order is a linear extension, so each element's covers precede it
         data = sorted(mdegs, key=lambda m: (sum(m), m))
-        labels = [frozenset.intersection(*(upto[k][x] for k, x in enumerate(m))) for m in data]
-        self.by_label = {A: i for i, A in enumerate(labels)}
-        self.elements = []
-        for i, (m, A) in enumerate(zip(data, labels)):
+        masks = [reduce(operator.and_, map(dict.__getitem__, upto, m)) for m in data]
+        id_of = {A: i for i, A in enumerate(masks)}
+        ranks, self.elements = [], []
+        for i, (m, A) in enumerate(zip(data, masks)):
             maximal: list = []  # the S_k, largest first: a set inside a kept one is no cover
-            for S in sorted({A & below[k][x] for k, x in enumerate(m) if x}, key=len, reverse=True):
-                if not any(S < T for T in maximal):
+            for S in sorted({A & lo[x] for lo, x in zip(below, m) if x}, key=int.bit_count, reverse=True):
+                for T in maximal:
+                    if S & T == S:
+                        break
+                else:
                     maximal.append(S)
-            covers = sorted(self.by_label[S] for S in maximal)
-            rank = 1 + max((self.elements[c].rank for c in covers), default=-1)
-            self.elements.append(LatticeElement(i, Monomial(m), A, rank, tuple(covers)))
-        self.by_mdeg = {e.mdeg.exponents: e.id for e in self.elements}
+            covers = tuple(sorted(map(id_of.__getitem__, maximal)))
+            ranks.append(1 + max(map(ranks.__getitem__, covers), default=-1))
+            label = frozenset([v for v in range(1, self.r + 1) if A >> v & 1])
+            self.elements.append(LatticeElement(i, Monomial(m), label, ranks[i], covers))
+        self.by_label = {e.A: e.id for e in self.elements}
+        self.by_mdeg = dict(zip(data, range(len(data))))
         # exponent vectors: 0 is the bottom (the lcm of no generator), i is g_i
         self._exponents = [ideal.one().exponents] + gens
         self.bottom = self.by_label[frozenset()]
@@ -90,20 +101,10 @@ class LcmLattice:
     def from_ideal(ideal: MonomialIdeal) -> "LcmLattice":
         if ideal.r > MAX_ATOMS:
             raise ValueError(f"at most {MAX_ATOMS} generators supported")
-        # join-closure from the bottom on exponent tuples: every lcm is a
-        # chain of joins with atoms
-        gens = [g.exponents for g in ideal.gens]
-        mdegs = {ideal.one().exponents: None}
-        frontier = list(mdegs)
-        while frontier:
-            new: dict = {}
-            for m in frontier:
-                for g in gens:
-                    j = tuple(map(max, m, g))
-                    if j not in mdegs:
-                        new[j] = None
-            mdegs.update(new)
-            frontier = list(new)
+        # join-closure one generator at a time: L_i = L_{i-1} and its joins with g_i
+        mdegs = {ideal.one().exponents}
+        for g in ideal.gens:
+            mdegs |= {tuple(map(max, m, g.exponents)) for m in mdegs}
         return LcmLattice(ideal, mdegs)
 
     @staticmethod
@@ -131,14 +132,13 @@ class LcmLattice:
         missing = needed - fam
         if missing:
             raise ValueError(f"labels must include bottom, atoms and top; missing {sorted(map(sorted, missing))}")
-        for a in fam:
-            for b in fam:
-                if a & b not in fam:
-                    raise ValueError(f"labels not intersection-closed at {sorted(a)} ^ {sorted(b)}")
+        for a, b in combinations(fam, 2):
+            if a & b not in fam:
+                raise ValueError(f"labels not intersection-closed at {sorted(a)} ^ {sorted(b)}")
         nonbottom = sorted((A for A in fam if A), key=lambda A: (len(A), sorted(A)))
         names = ["z"] + [f"y{k}" for k in range(len(nonbottom))]
         gens = [Monomial((1, *(int(i not in B) for B in nonbottom))) for i in verts]
-        mdegs = [(int(bool(A)), *(int(not A <= B) for B in nonbottom)) for A in fam]
+        mdegs = [(int(bool(A)), *[0 if A <= B else 1 for B in nonbottom]) for A in fam]
         return LcmLattice(MonomialIdeal(names, gens), mdegs)
 
     # -- basic queries -----------------------------------------------

@@ -24,9 +24,10 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if any(e < 0 for e in self.exponents):
+        exponents = tuple(map(int, self.exponents))
+        if exponents and min(exponents) < 0:
             raise ValueError("negative exponent")
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def n(self) -> int:

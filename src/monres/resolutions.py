@@ -741,18 +741,22 @@ class VerificationReport:
     complex: bool
     h0_ok: bool
     restriction_failure: object      # None or the offending multidegree string
+    restriction_skipped: object      # None or why restricted exactness was not checked
     is_resolution: bool
     is_minimal: bool
     notes: list = dc_field(default_factory=list)
 
     def summary(self) -> str:
         verdict = "PASS" if self.is_resolution else "FAIL"
+        if self.restriction_skipped is not None:
+            exact = f"skipped ({self.restriction_skipped})"
+        else:
+            exact = "yes" if self.restriction_failure is None else f"no (fails at {self.restriction_failure})"
         lines = [
             f"homogeneous: {'yes' if self.homogeneous else 'no'}",
             f"complex (d^2=0): {'yes' if self.complex else 'no'}",
             f"H0 = S/M: {'yes' if self.h0_ok else 'no'}",
-            "restricted frames exact: " + ("yes" if self.restriction_failure is None
-                                           else f"no (fails at {self.restriction_failure})"),
+            f"restricted frames exact: {exact}",
             f"minimal: {'yes' if self.is_minimal else 'no'}",
             f"resolution: {verdict}",
         ]
@@ -845,13 +849,12 @@ def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> V
             any(m.divides(g) for m in image_mdegs) for g in ideal.gens
         )
 
-    restriction_failure = None
+    restriction_failure = restriction_skipped = None
     off = next((e.mdeg for lv in C.levels for e in lv if e.mdeg.exponents not in lat.by_mdeg), None)
     if not (homogeneous and cx_ok):
-        restriction_failure = "(skipped: not a homogeneous complex)"
+        restriction_skipped = "not a homogeneous complex"
     elif off is not None:
-        restriction_failure = (f"(skipped: basis multidegree {off.to_str(ideal.names)} "
-                               "is not an element of the lcm-lattice)")
+        restriction_skipped = f"basis multidegree {off.to_str(ideal.names)} is not an element of the lcm-lattice"
     else:
         at = [[lat.by_mdeg[e.mdeg.exponents] for e in lv] for lv in C.levels]
         bad = first_inexact_element(lat, C.field, at,
@@ -859,8 +862,9 @@ def verify_resolution(C: MultigradedComplex, lat: LcmLattice | None = None) -> V
         if bad is not None:
             restriction_failure = lat.element(bad).mdeg.to_str(ideal.names)
 
-    is_resolution = homogeneous and cx_ok and h0_ok and restriction_failure is None
-    return VerificationReport(homogeneous, cx_ok, h0_ok, restriction_failure,
+    is_resolution = (homogeneous and cx_ok and h0_ok
+                     and restriction_failure is None and restriction_skipped is None)
+    return VerificationReport(homogeneous, cx_ok, h0_ok, restriction_failure, restriction_skipped,
                               is_resolution, C.is_minimal(), notes)
 
 

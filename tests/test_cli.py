@@ -1,9 +1,14 @@
 """Command line behaviour: formats, round trips, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import monres
 from monres.cli import main
 
 from conftest import IDEALS, LATTICES
@@ -83,12 +88,13 @@ def test_basis_off_the_lattice_is_unverifiable(capsys, tmp_path, doc, mdeg):
     dump = tmp_path / "off.json"
     dump.write_text(json.dumps(doc))
     code, report = run(capsys, "verify", str(dump))
-    skipped = f"(skipped: basis multidegree {mdeg} is not an element of the lcm-lattice)"
+    skipped = f"basis multidegree {mdeg} is not an element of the lcm-lattice"
     assert code == 2
-    assert f"restricted frames exact: no (fails at {skipped})" in report.splitlines()
+    assert f"restricted frames exact: skipped ({skipped})" in report.splitlines()
     assert report.endswith("resolution: FAIL\n")
     code, out = run(capsys, "--json", "verify", str(dump))
-    assert code == 2 and json.loads(out)["restriction_failure"] == skipped
+    doc = json.loads(out)
+    assert code == 2 and doc["restriction_failure"] is None and doc["restriction_skipped"] == skipped
 
 
 def test_verify_failure_exit_code(capsys, ideal_file, tmp_path):
@@ -389,6 +395,21 @@ def test_choices_non_cycle_is_precondition(capsys, ideal_file, tmp_path, command
     assert out == "" and err.startswith("error:") and err.endswith(": not a cycle\n")
 
 
+@pytest.mark.parametrize("choices, vertex", [
+    ({"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "12"}]}, 12),
+    ({"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "-0+3"}]}, 0),
+    ({"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["-1+12"]}]}, 12),
+    ({"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["-0+3"]}]}, 0),
+])
+def test_choices_vertex_outside_the_generators_is_parse_error(capsys, ideal_file, tmp_path, choices, vertex):
+    # cone3b has the generators 1..3
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps(choices))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error:") and f"vertex {vertex} is not a generator 1..3" in err
+
+
 def test_choices_label_outside_lattice_is_precondition(capsys, ideal_file, tmp_path):
     path = tmp_path / "choices.json"
     path.write_text(json.dumps({"bases": [{"A": [2, 3], "dim": 0, "chains": ["-2+3"]}]}))
@@ -533,3 +554,12 @@ def test_choices_read_a_vertex_above_9(capsys, tmp_path):
     path.write_text(json.dumps({"bases": [{"A": [1, 10], "dim": 0, "chains": ["-1+10"]}]}))
     code, out = run(capsys, "poset", str(ideal), "--choices", str(path))
     assert code == 0 and out.endswith("minimal=yes\n")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(pathlib.Path(monres.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["random", "--r", "3", "--n", "2"]
+    done = subprocess.run([sys.executable, "-m", "monres", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (*run(capsys, *argv), "")

@@ -1,5 +1,6 @@
 """The lcm-lattice: labels, closure, covers, complexes, Betti poset."""
 
+import operator
 import random
 from collections import Counter
 from itertools import combinations
@@ -385,6 +386,90 @@ def test_huge_exponents_build_the_same_lattice():
     huge, lat = shape("vars x y z; gens x^1000000000*y y^2*z x*z^3")
     assert huge == small
     assert lat.element(lat.top).mdeg.exponents == (10 ** 9, 2, 3)
+
+
+# -- the frozenset build ------------------------------------------------------
+#
+# LcmLattice builds its labels as generator bitmasks, adding one generator at
+# a time to the join-closure.  The oracle below is the build it replaced: a
+# breadth-first join of every element with every generator, and frozenset
+# threshold tables that scan all r generators at each exponent.
+
+
+def ref_join_closure(ideal):
+    """The lcms of the generator subsets, by joining every element with every generator."""
+    gens = [g.exponents for g in ideal.gens]
+    mdegs = {ideal.one().exponents: None}
+    frontier = list(mdegs)
+    while frontier:
+        new: dict = {}
+        for m in frontier:
+            for g in gens:
+                j = tuple(map(max, m, g))
+                if j not in mdegs:
+                    new[j] = None
+        mdegs.update(new)
+        frontier = list(new)
+    return mdegs
+
+
+def ref_elements(ideal, mdegs):
+    """(id, mdeg, A, rank, covers) of each lcm in `mdegs`, from frozenset threshold tables."""
+    gens = [g.exponents for g in ideal.gens]
+    upto, below = ([{x: frozenset(i for i, g in enumerate(gens, start=1) if op(g[k], x)) for x in {0, *col}}
+                    for k, col in enumerate(zip(*gens))] for op in (operator.le, operator.lt))
+    data = sorted(mdegs, key=lambda m: (sum(m), m))
+    labels = [frozenset.intersection(*(upto[k][x] for k, x in enumerate(m))) for m in data]
+    by_label = {A: i for i, A in enumerate(labels)}
+    out = []
+    for i, (m, A) in enumerate(zip(data, labels)):
+        maximal: list = []
+        for S in sorted({A & below[k][x] for k, x in enumerate(m) if x}, key=len, reverse=True):
+            if not any(S < T for T in maximal):
+                maximal.append(S)
+        covers = tuple(sorted(by_label[S] for S in maximal))
+        rank = 1 + max((out[c][3] for c in covers), default=-1)
+        out.append((i, Monomial(m), A, rank, covers))
+    return out
+
+
+def assert_matches_frozenset_build(lat, mdegs=None):
+    """`lat` is, element by element, the oracle's lattice of `mdegs` (by default, its ideal's lcms)."""
+    ref = ref_elements(lat.ideal, ref_join_closure(lat.ideal) if mdegs is None else mdegs)
+    assert [(e.id, e.mdeg, e.A, e.rank, e.covers) for e in lat.elements] == ref
+    assert lat.by_label == {A: i for i, _, A, _, _ in ref}
+    assert lat.by_mdeg == {m.exponents: i for i, m, _, _, _ in ref}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal=small_ideals())
+def test_build_matches_the_frozenset_build_on_generated_ideals(ideal):
+    lat = LcmLattice.from_ideal(ideal)
+    assert_matches_frozenset_build(lat)
+    assert_matches_frozenset_build(LcmLattice.from_json(lat.to_json()))
+    # the label family's synthesised ideal, both from the mdegs `from_labels` writes down
+    # and from the join-closure of its generators
+    family = LcmLattice.from_labels([e.A for e in lat.elements])
+    assert family.by_label.keys() == lat.by_label.keys()
+    assert_matches_frozenset_build(family, [e.mdeg.exponents for e in family.elements])
+    assert_matches_frozenset_build(family)
+
+
+@pytest.mark.parametrize("text", [
+    "vars x y z; gens x^2*y*z",                                          # r = 1
+    "vars x; gens x^5",                                                  # n = 1
+    "vars a b c; gens a*b a*c b*c",                                      # every exponent 1
+    "vars x y z w; gens x^2*y^2 x^2*z^2 y^2*z^2 x*w^2 y*w^2 z*w^2",      # repeated exponents
+    "vars x y z; gens x^1000000000*y y^2*z x*z^3",                       # a huge exponent
+    "vars x y; gens " + " ".join(f"x^{i}*y^{62 - i}" for i in range(63)),  # r = MAX_ATOMS
+], ids=["r1", "n1", "squarefree", "repeated", "huge", "staircase63"])
+def test_build_matches_the_frozenset_build_at_the_edges(text):
+    lat = LcmLattice.from_ideal(parse_ideal_text(text)[0])
+    assert_matches_frozenset_build(lat)
+    if lat.r == lattice_module.MAX_ATOMS:
+        # bit 63 stands for g_63; |L| is the bottom and one element per pair i <= j of ends
+        assert len(lat) == 1 + 63 * 64 // 2
+        assert lat.element(lat.atom_ids[-1]).A == frozenset([63])
 
 
 def test_lattice_matches_reference_on_label_lattices():

@@ -855,6 +855,16 @@ def test_minimize_matches_dense_reference(case):
     assert basis.to_text() == ref_basis.to_text()
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=taylor_cases())
+def test_taylor_basis_round_trip_rebuilds_the_atomic_resolution(case):
+    # the basis read off the atomic frames, built back into a resolution: the same
+    # levels (chains and multidegrees) and the same frames
+    field, lat = case
+    _, C = atomic_lattice_resolution(lat, field)
+    assert_same_complex(resolution_from_taylor_basis(lat, taylor_basis_from_resolution(C, lat)), C)
+
+
 SCALES = {0: [2, 3, -1, Fraction(-1, 2), Fraction(2, 3)], 32003: [2, 3]}
 
 
