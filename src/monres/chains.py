@@ -88,8 +88,6 @@ class Chain:
 
     def scale(self, c) -> "Chain":
         f = self.field
-        if c == f.zero:
-            return Chain.zero(f, self.dim)
         return Chain(f, {fc: f.mul(c, x) for fc, x in self.terms.items()}, dim=self.dim)
 
     def sub(self, other: "Chain") -> "Chain":

@@ -20,7 +20,8 @@ from monres.chains import format_face, parse_chain
 from monres.classify import classify
 from monres.lattice import LcmLattice
 from monres.linalg import Field
-from monres.monomials import IdealParseError, json_object, parse_ideal_text, random_minimal_ideal
+from monres.monomials import (IdealParseError, json_document, json_object, parse_ideal_text,
+                              random_minimal_ideal)
 from monres.posetres import HomologyBasis, poset_construction, rlm_construction
 from monres.resolutions import (MultigradedComplex, atomic_lattice_resolution,
                                 maximal_approximation, minimize_resolution,
@@ -176,7 +177,7 @@ def _choice_entries(doc, key, fields):
 
 def _load_choices(lat, field, path):
     """Explicit homology bases / preimages from a JSON file."""
-    doc = json_object(json.loads(_read_input(path)), {}, "the choices file")
+    doc = json_document(_read_input(path), {}, "the choices file")
     bases = _choice_entries(doc, "bases", {"dim": int, "chains": (list, str)})
     lifts = _choice_entries(doc, "preimages", {"dim": int, "chain": str})
     hb = HomologyBasis.canonical(lat, field)
@@ -337,9 +338,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except IdealParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, KeyError, RuntimeError) as e:

@@ -21,7 +21,8 @@ from functools import reduce
 from itertools import combinations
 
 from monres.linalg import Field, Matrix
-from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
+from monres.monomials import (IdealParseError, Monomial, MonomialIdeal, json_document, json_object,
+                              parse_monomial)
 from monres.vcomplex import (class_in_homology, complex_of_facets, graph_homology_dims, reduced_cycles,
                              reduced_homology_dims)
 
@@ -205,13 +206,20 @@ class LcmLattice:
     def is_scarf_multidegree(self, m_id: int) -> bool:
         """True iff exactly one subset of the generators has this multidegree.
 
-        The subsets with lcm m form an up-set in the subsets of A_m, so A_m
-        is the only one iff no A_m minus a vertex keeps the lcm.
+        That is, iff the covers of m are the |A_m| sets A_m - {i}.  Proof: the
+        subsets with lcm m form an up-set in the subsets of A_m, so A_m is the
+        only one iff no A_m - {i} keeps the lcm.  A_m - {i} keeps it iff it lies
+        in no cover label, as every label strictly inside A_m lies in one.  A
+        cover label B lies strictly inside A_m, so in some A_m - {i}; if that
+        set lies in a cover label B', then B = A_m - {i} = B', as the cover
+        labels form an antichain.  So m is Scarf iff every A_m - {i} is a cover
+        label and no other set is.
         """
         if m_id == self.bottom:
             raise ValueError("the bottom element is not a multidegree")
-        A = self.elements[m_id].A
-        return all(self.closure(A - {i}) != A for i in A)
+        e = self.elements[m_id]
+        return len(e.covers) == len(e.A) and all(len(self.elements[c].A) == len(e.A) - 1
+                                                 for c in e.covers)
 
     def scarf_ids(self):
         return [e.id for e in self.elements if e.id != self.bottom and self.is_scarf_multidegree(e.id)]
@@ -312,7 +320,7 @@ class LcmLattice:
 
     @staticmethod
     def from_json(text: str) -> "LcmLattice":
-        doc = json_object(json.loads(text), {"elements": list}, "the lattice JSON")
+        doc = json_document(text, {"elements": list}, "the lattice JSON")
         labels = [tuple(json_object(e, {"A": (list, int)}, f"the lattice JSON: elements[{k}]")["A"])
                   for k, e in enumerate(doc["elements"])]
         if "vars" in doc and "gens" in doc:

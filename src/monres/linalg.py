@@ -208,13 +208,6 @@ class Matrix:
                        else {j: v for j, v in acc.items() if v})
         return Matrix.sparse(self.field, other.ncols, out)
 
-    def mul_vector(self, v):
-        if self.ncols != len(v):
-            raise ValueError("vector length mismatch")
-        p, z = self.field.char, self.field.zero
-        out = [sum((x * v[j] for j, x in ri.items()), z) for ri in self.rows]
-        return [x % p for x in out] if p else out
-
     # -- elimination -------------------------------------------------
     def _echelon(self, reduced: bool):
         """Sparse elimination in the dense scan order: ``(rows, pivots)``.

@@ -10,9 +10,11 @@ simplex).
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass
+from operator import le
 
 from monres.linalg import Field
 
@@ -113,22 +115,23 @@ class MonomialIdeal:
                 raise ValueError("generator in wrong ambient ring")
             if g.is_one():
                 raise ValueError("the unit 1 cannot be a generator")
-        if minimize:
-            gens = _minimal_subset(gens)
         if not gens:
             raise ValueError("an ideal needs at least one generator")
-        seen = set()
-        for i, g in enumerate(gens):
-            if g.exponents in seen:
-                raise ValueError(f"duplicate generator {g.to_str(self.names)}")
-            seen.add(g.exponents)
-            for j, h in enumerate(gens):
-                if i != j and g.divides(h):
-                    raise ValueError(
-                        f"non-minimal generators: {g.to_str(self.names)} divides {h.to_str(self.names)}"
-                    )
-        self.gens = gens
-        self.r = len(gens)
+        # one row-major scan over the pairs g_i | g_j, i != j: the first one is an error, or
+        # with `minimize` each such g_j is dropped, of equal generators all but the first
+        exps = [g.exponents for g in gens]
+        drop = set()
+        for i, a in enumerate(exps):
+            for j, b in enumerate(exps):
+                if i != j and all(map(le, a, b)):
+                    if not minimize:
+                        g, h = gens[i].to_str(self.names), gens[j].to_str(self.names)
+                        raise ValueError(f"duplicate generator {g}" if a == b
+                                         else f"non-minimal generators: {g} divides {h}")
+                    if i < j or a != b:
+                        drop.add(j)
+        self.gens = [g for j, g in enumerate(gens) if j not in drop]
+        self.r = len(self.gens)
 
     def __repr__(self):
         return f"MonomialIdeal({', '.join(g.to_str(self.names) for g in self.gens)})"
@@ -157,16 +160,6 @@ class MonomialIdeal:
         return f"vars {' '.join(self.names)}; gens {gens}"
 
 
-def _minimal_subset(gens):
-    out = []
-    for g in gens:
-        if any(h.divides(g) and h != g for h in gens):
-            continue
-        if g not in out:
-            out.append(g)
-    return out
-
-
 class IdealParseError(ValueError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -189,6 +182,19 @@ def json_object(value, fields, where: str):
             what = kind.__name__ + (f" of {item.__name__}" if item else "")
             raise IdealParseError(f"{where}: {key!r} is missing or not a {what}")
     return value
+
+
+def json_document(text: str, fields, where: str):
+    """The JSON text `text`, checked by `json_object` to be an object holding `fields`.
+
+    Text that does not decode, or that nests deeper than the decoder can
+    follow, is a parse error.
+    """
+    try:
+        value = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise IdealParseError(str(e)) from e
+    return json_object(value, fields, where)
 
 
 def parse_ideal_text(text: str, minimize: bool = False):

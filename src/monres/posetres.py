@@ -121,8 +121,7 @@ def mv_connecting(field: Field, facets1, facets2, f: Chain) -> Chain:
     return boundary(c1)
 
 
-def sigma_map(lat: LcmLattice, field: Field, m_id: int, sub_facets, cycle: Chain,
-              hb: "HomologyBasis"):
+def sigma_map(m_id: int, sub_facets, cycle: Chain, hb: "HomologyBasis"):
     """Inclusion-induced class of a subcomplex cycle, in the fixed basis at m."""
     if not all(in_complex(fc, sub_facets) for fc in cycle.terms):
         raise ValueError("cycle does not lie in the subcomplex")
@@ -207,8 +206,6 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         f = self.field
-        if c == f.zero:
-            return Poly(f)
         return Poly(f, {k: f.mul(c, v) for k, v in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
@@ -344,7 +341,7 @@ def _column(lat: LcmLattice, hb: HomologyBasis, lbl, i: int | None = None, preim
     z = preimages[lbl]
     want = [field.one if k == j else field.zero for k in range(len(hb.classes_at(m, d)))]
     try:
-        ok = sigma_map(lat, field, m, facets, z, hb) == want
+        ok = sigma_map(m, facets, z, hb) == want
     except ValueError as e:
         raise ValueError(f"explicit preimage at {lbl}: {e}") from None
     if not ok:
@@ -501,8 +498,6 @@ def rlm_symbolic(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
         gammas, terms = columns[lbl]
         col = [Poly(field) for _ in row_index]
         for t, z in terms:
-            if z.is_zero():
-                continue
             for r, v in enumerate(_component_column(lat, hb, z, gammas, row_index)):
                 if v != field.zero:
                     col[r] = col[r].add(t.scale(v))

@@ -18,7 +18,8 @@ from operator import itemgetter, le
 from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.monomials import IdealParseError, Monomial, MonomialIdeal, json_object, parse_monomial
+from monres.monomials import (IdealParseError, Monomial, MonomialIdeal, json_document, json_object,
+                              parse_monomial)
 from monres.vcomplex import BasedComplex, complex_of_facets
 
 
@@ -28,7 +29,7 @@ class MgBasisElement:
     mdeg: Monomial
     hdeg: int
 
-    def label_str(self, names) -> str:
+    def label_str(self) -> str:
         if isinstance(self.label, Chain):
             return format_chain(self.label)
         return str(self.label)
@@ -125,7 +126,7 @@ class MultigradedComplex:
             "vars": self.ideal.names,
             "gens": [g.to_str(self.ideal.names) for g in self.ideal.gens],
             "levels": [
-                [{"mdeg": e.mdeg.to_str(self.ideal.names), "label": e.label_str(self.ideal.names)}
+                [{"mdeg": e.mdeg.to_str(self.ideal.names), "label": e.label_str()}
                  for e in lv]
                 for lv in self.levels
             ],
@@ -140,8 +141,8 @@ class MultigradedComplex:
     @staticmethod
     def from_json(text: str) -> "MultigradedComplex":
         where = "the complex JSON"
-        doc = json_object(json.loads(text), {"vars": (list, str), "gens": (list, str),
-                                             "levels": (list, list), "frames": (list, list)}, where)
+        doc = json_document(text, {"vars": (list, str), "gens": (list, str),
+                                   "levels": (list, list), "frames": (list, list)}, where)
         if type(doc.get("char", 0)) is not int:
             raise IdealParseError(f"{where}: 'char' is not an int")
         if len(doc["frames"]) != len(doc["levels"]) - 1:
@@ -439,7 +440,7 @@ def find_unit_entry(C: MultigradedComplex):
     return _SparseFrames(C).first_unit()
 
 
-def minimize_resolution(C: MultigradedComplex, lat: LcmLattice | None = None):
+def minimize_resolution(C: MultigradedComplex, lat: LcmLattice):
     """Cancel unit entries to a fixpoint; returns (minimal complex, Taylor basis).
 
     Makes the cancellations of repeated `find_unit_entry` and
@@ -453,8 +454,6 @@ def minimize_resolution(C: MultigradedComplex, lat: LcmLattice | None = None):
         while hit is not None:
             hit = frames.first_unit(hit[0], frames.cancel(*hit))
         C = frames.complex()
-    if lat is None:
-        lat = LcmLattice.from_ideal(C.ideal)
     labels = [e.label for lv in C.levels for e in lv]
     if not all(isinstance(c, Chain) for c in labels):
         raise ValueError("minimization bookkeeping needs chain labels")
@@ -622,12 +621,8 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
     for e in lat.elements:
         if e.id == lat.bottom or e.rank == 1:
             continue
-        mine = by_elt.get(e.id, [])
-        for c in mine:
-            if not set(support(c)) <= set(e.A):
-                raise TaylorBasisError(f"chain {format_chain(c)} leaves the simplex at its element", e.id)
         by_dim: dict = {}
-        for c in mine:
+        for c in by_elt.get(e.id, []):
             by_dim.setdefault(c.dim - 1, []).append(c)
         dims_needed = lat.homology_dims_at(e.id, field)
         for d in set(by_dim) | set(dims_needed):
@@ -638,13 +633,11 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
                     f"element {e.id}: {len(got)} chains with boundary dimension {d}, homology needs {want}",
                     e.id,
                 )
-            if not got:
-                continue
             try:
-                basis = lat.is_homology_basis(e.id, field, d, [boundary(c) for c in got])
+                independent = lat.is_homology_basis(e.id, field, d, [boundary(c) for c in got])
             except ValueError as err:
                 raise TaylorBasisError(f"element {e.id}: boundary leaves the complex: {err}", e.id)
-            if not basis:
+            if not independent:
                 raise TaylorBasisError(f"element {e.id}: boundary classes are dependent in homology", e.id)
 
     # assemble levels in the given order and solve each boundary in the span
@@ -652,16 +645,14 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
     for m, c in placed:
         by_hdeg.setdefault(c.dim + 1, []).append((m, c))
     top = max(by_hdeg)
-    if sorted(by_hdeg) != list(range(top + 1)):
-        raise TaylorBasisError("basis misses a homological degree")
     levels = []
     for h in range(top + 1):
         levels.append([MgBasisElement(c, lat.element(m).mdeg, h) for m, c in by_hdeg[h]])
     frames: list = [None]
     for h in range(1, top + 1):
         lower = [c for _, c in by_hdeg[h - 1]]
-        faces = sorted({fc for c in lower for fc in c.terms})
-        index = {fc: i for i, fc in enumerate(faces)}
+        known = {fc for c in lower for fc in c.terms}
+        faces = sorted(known)
         cols_bases = Matrix.from_columns(
             field, len(faces),
             [[c.terms.get(fc, field.zero) for fc in faces] for c in lower],
@@ -669,13 +660,8 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
         cols = []
         for m, c in by_hdeg[h]:
             b = boundary(c)
-            rhs = [field.zero] * len(faces)
-            for fc, coeff in b.terms.items():
-                if fc not in index:
-                    raise TaylorBasisError(
-                        f"boundary of {format_chain(c)} is outside the span of lower basis chains", m)
-                rhs[index[fc]] = coeff
-            sol = cols_bases.solve(rhs)
+            sol = (cols_bases.solve([b.terms.get(fc, field.zero) for fc in faces])
+                   if b.terms.keys() <= known else None)
             if sol is None:
                 raise TaylorBasisError(
                     f"boundary of {format_chain(c)} is outside the span of lower basis chains", m)

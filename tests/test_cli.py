@@ -1,5 +1,6 @@
 """Command line behaviour: formats, round trips, exit codes."""
 
+import io
 import json
 import os
 import pathlib
@@ -9,7 +10,9 @@ import sys
 import pytest
 
 import monres
+from monres.chains import format_face
 from monres.cli import main
+from monres.resolutions import scarf_complex
 
 from conftest import IDEALS, LATTICES
 
@@ -147,6 +150,15 @@ def test_classify_json(capsys, ideal_file):
     assert doc["scarf"]["verdict"] == "no"
 
 
+def test_scarf_json(capsys, ideal_file, lattices):
+    path = ideal_file("four_gens")
+    code, out = run(capsys, "--json", "scarf", path)
+    assert code == 0
+    faces = json.loads(out)["faces"]
+    assert faces == [list(f) for f in scarf_complex(lattices["four_gens"])]
+    assert run(capsys, "scarf", path)[1] == " ".join(format_face(tuple(f)) for f in faces) + "\n"
+
+
 def test_scarf_command(capsys, ideal_file):
     code, out = run(capsys, "scarf", ideal_file("triangle"))
     assert code == 0
@@ -218,6 +230,10 @@ def test_parse_error_exit_code(capsys, tmp_path):
     ("vars x y x; gens x*y y^2", "line 1: duplicate variable 'x'"),
     ("vars x y x\ngens x*y y^2", "line 1: duplicate variable 'x'"),
     ("vars x y; gens x y; char 2; char 3;", "line 1: duplicate char statement"),
+    ("vars x y; vars y x; gens x y", "line 1: duplicate vars statement"),
+    ("vars x y\ngens x y\ngens x", "line 3: duplicate gens statement"),
+    ("vars x y; gens x x", "line 1: duplicate generator x"),
+    ("vars x y\ngens x*y x^2 y x*y", "line 2: duplicate generator x*y"),
 ])
 def test_repeated_declaration_is_parse_error(capsys, tmp_path, text, message):
     bad = tmp_path / "bad.ideal"
@@ -225,6 +241,25 @@ def test_repeated_declaration_is_parse_error(capsys, tmp_path, text, message):
     assert main(["betti", str(bad)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vars x y; gens x y; char x", "line 1: char expects one integer"),
+    ("vars x y; char 2", "missing gens statement"),
+    ("vars x y\ngens\n", "line 2: empty generator list"),
+])
+def test_malformed_statement_is_parse_error(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.ideal"
+    bad.write_text(text)
+    assert main(["betti", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: {message}\n"
+
+
+def test_stdin_input(capsys, ideal_file, monkeypatch):
+    want = run(capsys, "betti", ideal_file("four_gens"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(IDEALS["four_gens"]))
+    assert run(capsys, "betti", "-") == want
 
 
 def test_precondition_exit_code(capsys, tmp_path):
@@ -339,12 +374,58 @@ def test_lattice_json_with_a_repeated_variable_is_rejected(capsys, tmp_path):
     # a dump naming an ideal that cannot be built is malformed input
     elements = [{"A": []}, {"A": [1]}, {"A": [2]}, {"A": [1, 2]}]
     for vars_, gens, message in [(["x", "y", "x"], ["x*y", "y^2"], "duplicate variable 'x'"),
-                                 (["x", "y"], ["x", "x*y"], "non-minimal generators: x divides x*y")]:
+                                 (["x", "y"], ["x", "x*y"], "non-minimal generators: x divides x*y"),
+                                 (["x", "y"], ["y", "y"], "duplicate generator y")]:
         dump = tmp_path / "bad.json"
         dump.write_text(json.dumps({"vars": vars_, "gens": gens, "elements": elements}))
         assert main(["betti", str(dump)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"parse error: the lattice JSON: {message}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"elements": [[], [1], [3], [1, 3]]}, "atoms must be numbered 1..r", id="atoms-not-1..r"),
+    pytest.param({"elements": [[1], [2], [1, 2]]}, "labels must include bottom, atoms and top; missing [[]]",
+                 id="no-bottom"),
+    pytest.param({"elements": [[], [1], [1, 2]]}, "labels must include bottom, atoms and top; missing [[2]]",
+                 id="no-atom"),
+    pytest.param({"elements": [[], [1], [2], [3], [1, 2]]},
+                 "labels must include bottom, atoms and top; missing [[1, 2, 3]]", id="no-top"),
+    pytest.param({"elements": [[]]}, "an ideal needs at least one generator", id="no-generator"),
+    pytest.param({"elements": [[]] + [[i] for i in range(1, 65)] + [list(range(1, 65))]},
+                 "at most 63 atoms supported", id="64-atoms"),
+    pytest.param({"vars": ["x", "y"], "gens": ["x", "y"], "elements": [[], [1], [2]]},
+                 "element list does not match the lattice of the given ideal", id="not-the-ideals-lattice"),
+])
+def test_lattice_json_naming_no_lattice_is_precondition(capsys, tmp_path, doc, message):
+    dump = tmp_path / "lattice.json"
+    dump.write_text(json.dumps({**doc, "elements": [{"A": A} for A in doc["elements"]]}))
+    assert main(["betti", str(dump)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_more_generators_than_the_lattice_supports_is_precondition(capsys, tmp_path):
+    ideal = tmp_path / "staircase.ideal"
+    ideal.write_text("vars x y; gens " + " ".join(f"x^{i}*y^{63 - i}" for i in range(64)))
+    assert main(["betti", str(ideal)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: at most 63 generators supported\n"
+
+
+@pytest.mark.parametrize("kind", ["lattice", "verify", "choices"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"elements": ' + "[" * 100000, "maximum recursion depth exceeded", id="nested"),
+    pytest.param('{"elements": [', "Expecting value: line 1 column 15 (char 14)", id="truncated"),
+])
+def test_undecodable_json_is_parse_error(capsys, ideal_file, tmp_path, kind, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {"lattice": ["lattice", str(path)], "verify": ["verify", str(path)],
+            "choices": ["rlm", ideal_file("cone3b"), "--choices", str(path)]}[kind]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"parse error: {message}")
 
 
 def test_bound_command(capsys, ideal_file):
@@ -372,6 +453,8 @@ def test_bound_command(capsys, ideal_file):
     {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": [0], "chain": "-2+3"}]},
     {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["1e5*12"]}]},
     {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "0.5*12"}]},
+    {"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "0"}]},
+    {"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["1-1"]}]},
 ])
 def test_malformed_choices_chain_is_parse_error(capsys, ideal_file, tmp_path, choices):
     path = tmp_path / "choices.json"
@@ -393,6 +476,20 @@ def test_choices_non_cycle_is_precondition(capsys, ideal_file, tmp_path, command
     assert main([command, ideal_file("cone3b"), "--choices", str(path)]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.endswith(": not a cycle\n")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"A": [1], "dim": -1, "chains": ["{}"]}, "the homology basis at dimension -1 is pinned to the empty chain"),
+    ({"A": [1, 2, 3], "dim": 0, "chains": ["-1+3", "-2+3"]}, "expected 1 classes in dimension 0"),
+    ({"A": [1, 2, 3], "dim": 0, "chains": ["-1+2"]}, "given classes are dependent in homology"),
+])
+def test_choices_basis_that_is_no_basis_is_precondition(capsys, ideal_file, tmp_path, entry, message):
+    # on cone3b, Delta at the top is the edge 12 and the vertex 3: one class, of -1+3
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps({"bases": [entry]}))
+    assert main(["poset", ideal_file("cone3b"), "--choices", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.endswith(f"{message}\n")
 
 
 @pytest.mark.parametrize("choices, vertex", [
@@ -427,6 +524,7 @@ def _complex_doc(capsys, ideal_file):
     (["x", "y", "x"], ["x*y", "y^2"], "duplicate variable 'x'"),
     (["x", "y"], ["x", "x*y"], "non-minimal generators: x divides x*y"),
     (["x", "y"], ["x", "z"], "gens[1]: undeclared variable 'z'"),
+    (["x", "y"], ["x*y", "x*y"], "duplicate generator x*y"),
 ])
 def test_complex_dump_naming_no_ideal_is_parse_error(capsys, ideal_file, tmp_path, vars_, gens, message):
     # as for a lattice dump: a resolution dump whose ideal cannot be built is malformed input
@@ -455,7 +553,7 @@ def test_complex_dump_naming_no_ideal_is_parse_error(capsys, ideal_file, tmp_pat
     pytest.param("mdeg", lambda d: {**d, "levels": [[{"label": "1"}]] + d["levels"][1:]}, id="no-mdeg"),
     pytest.param("char", lambda d: {**d, "char": "2"}, id="char-not-int"),
     *(pytest.param(f"the complex JSON: characteristic must be 0 or a prime < 2^31, got {p}",
-                   lambda d, p=p: {**d, "char": p}, id=f"char-{p}") for p in (4, -3, 2147483648)),
+                   lambda d, p=p: {**d, "char": p}, id=f"char-{p}") for p in (4, 9, -3, 2147483648)),
     pytest.param("the complex JSON: levels[1][2]: bad monomial factor ''",
                  lambda d: {**d, "levels": [d["levels"][0], d["levels"][1][:2] + [{"mdeg": "x**y"}]]
                             + d["levels"][2:]}, id="mdeg-not-a-monomial"),

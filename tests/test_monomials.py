@@ -1,8 +1,10 @@
 """Monomials, ideals, the text grammar, the random generator."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monres.monomials import (IdealParseError, Monomial, MonomialIdeal,
                               parse_ideal_text, parse_monomial, random_minimal_ideal)
@@ -67,6 +69,31 @@ def test_minimality_rejected():
         parse_ideal_text("gens x*y x*y")
     ideal, _ = parse_ideal_text("vars x y; gens x x*y", minimize=True)
     assert ideal.r == 1
+
+
+def ref_minimal_subset(gens):
+    """The generators that no other one strictly divides, each once, in order."""
+    out = []
+    for g in gens:
+        if not any(h.divides(g) and h != g for h in gens) and g not in out:
+            out.append(g)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 3).filter(any), min_size=1, max_size=7))
+def test_one_scan_keeps_the_minimal_generators_or_names_the_first_pair(exps):
+    names, gens = ["x", "y", "z"], [Monomial(e) for e in exps]
+    assert MonomialIdeal(names, gens, minimize=True).gens == ref_minimal_subset(gens)
+    pairs = [(g, h) for i, g in enumerate(gens) for j, h in enumerate(gens) if i != j and g.divides(h)]
+    if not pairs:
+        assert MonomialIdeal(names, gens).gens == gens
+        return
+    g, h = pairs[0]
+    want = (f"duplicate generator {g.to_str(names)}" if g == h
+            else f"non-minimal generators: {g.to_str(names)} divides {h.to_str(names)}")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        MonomialIdeal(names, gens)
 
 
 def test_parse_grammar():

@@ -322,8 +322,90 @@ def test_resolution_from_basis_error_messages(lattices, name, old, new, message)
     lat = lattices[name]
     B, _ = atomic_lattice_resolution(lat, QQ)
     chains = [ch(new) if format_chain(c) == old else c for c in B.chains()]
-    with pytest.raises(TaylorBasisError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(TaylorBasisError, match=f"^{re.escape(message)}$") as err:
         resolution_from_taylor_basis(lat, chains)
+    assert err.value.m_id == lat.top  # both edited chains sit at the top
+
+
+def _edited(old=None, new=None):
+    """Edit the chain list: replace the chain written `old` by `new`, drop it (no `new`), or add `new`."""
+    def edit(chains):
+        if old is None:
+            return chains + [ch(new)]
+        return [ch(new) if format_chain(c) == old else c for c in chains if new or format_chain(c) != old]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message, label", [
+    pytest.param("triangle", lambda chains: [], "empty basis", None, id="empty"),
+    pytest.param("triangle", lambda chains: chains + [Chain.zero(QQ, 1)], "zero chain in basis", None,
+                 id="zero-chain"),
+    pytest.param("triangle", _edited("{}"), "basis must contain exactly the empty chain at the bottom", None,
+                 id="no-bottom"),
+    pytest.param("triangle", _edited(None, "2*{}"), "basis must contain exactly the empty chain at the bottom",
+                 None, id="two-bottoms"),
+    pytest.param("triangle", _edited("1", "2*1"), "basis must contain exactly the vertex {1} at generator 1",
+                 (1,), id="scaled-atom"),
+    pytest.param("four_gens", _edited("2"), "basis must contain exactly the vertex {2} at generator 2", (2,),
+                 id="missing-atom"),
+    pytest.param("four_gens", _edited("123"), "element 9: 0 chains with boundary dimension 1, homology needs 1",
+                 (1, 2, 3, 4), id="too-few"),
+    pytest.param("triangle", _edited(None, "13"), "element 4: 3 chains with boundary dimension 0, homology needs 2",
+                 (1, 2, 3), id="too-many"),
+    pytest.param("rigid4", _edited("-123-134", "124"),
+                 "boundary of 124 is outside the span of lower basis chains", (1, 2, 3, 4), id="face-outside"),
+    pytest.param("stable7", _edited("25", "-23+2*25-35"),
+                 "boundary of 256 is outside the span of lower basis chains", (2, 3, 5, 6), id="not-in-span"),
+])
+def test_resolution_from_basis_errors_name_their_element(lattices, name, edit, message, label):
+    # the raises of `resolution_from_taylor_basis` that the test above does not reach,
+    # each on the atomic basis with one edit
+    lat = lattices[name]
+    B, _ = atomic_lattice_resolution(lat, QQ)
+    with pytest.raises(TaylorBasisError, match=f"^{re.escape(message)}$") as err:
+        resolution_from_taylor_basis(lat, edit(B.chains()))
+    assert err.value.m_id == (None if label is None else lat.id_of_label(label))
+
+
+def _with_level(C, i, level):
+    levels = [list(lv) for lv in C.levels]
+    levels[i] = level
+    return MultigradedComplex(C.ideal, C.field, levels, C.frames)
+
+
+def _with_frame(C, i, rows):
+    frames = list(C.frames)
+    frames[i] = Matrix(C.field, [[QQ.of(x) for x in row] for row in rows])
+    return MultigradedComplex(C.ideal, C.field, C.levels, frames)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda C: _with_level(C, 0, [MgBasisElement("e", C.ideal.generator(1), 0)]),
+                 "degree 0 must be a single basis element of multidegree 1", id="degree-0"),
+    pytest.param(lambda C: MultigradedComplex(C.ideal, QQ, C.levels[:1] + [C.levels[1][:2]],
+                                              [None, C.frames[1].submatrix([0], [0, 1])]),
+                 "degree 1 must have one basis element per generator", id="degree-1-count"),
+    pytest.param(lambda C: _with_level(C, 1, [MgBasisElement(e.label, C.ideal.generator(3 - k), 1)
+                                              for k, e in enumerate(C.levels[1])]),
+                 "degree-1 multidegrees must be the generators in order", id="degree-1-mdegs"),
+    pytest.param(lambda C: _with_frame(C, 1, [[1, 2, 1]]), "degree-1 map must be the row (m_1 ... m_r)",
+                 id="degree-1-entry"),
+    pytest.param(lambda C: _with_frame(C, 2, [[0, -1], [0, 1], [0, 0]]),
+                 "zero column in a minimal resolution frame", id="zero-column"),
+    pytest.param(lambda C: _with_frame(C, 2, [[1, -1], [0, 1], [0, 0]]),
+                 "column cycle is not a boundary: cycle is not a boundary in the allowed simplex",
+                 id="not-a-cycle"),
+    pytest.param(lambda C: _with_level(C, 2, [MgBasisElement(e.label, C.levels[1][0].mdeg, 2)
+                                              for e in C.levels[2]]),
+                 "recovered chain multidegree disagrees with the basis element", id="mdeg"),
+])
+def test_basis_from_resolution_errors(lattices, edit, message):
+    # every raise of `taylor_basis_from_resolution`, each on the triangle's atomic resolution with one edit
+    lat = lattices["triangle"]
+    _, C = atomic_lattice_resolution(lat, QQ)
+    with pytest.raises(TaylorBasisError, match=f"^{re.escape(message)}$") as err:
+        taylor_basis_from_resolution(edit(C), lat)
+    assert err.value.m_id is None
 
 
 def test_resolution_from_basis_rigid_either_choice(lattices):

@@ -30,3 +30,21 @@ def test_only_the_standard_library_and_monres_are_imported():
     outside = {path.name: sorted(imported_modules(path) - set(sys.stdlib_module_names) - {"monres"})
                for path in SRC.glob("*.py")}
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def unread_parameters(path):
+    """(function, parameter) for each parameter, other than self and cls, that its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                      if a is not None and a.arg not in ("self", "cls")]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            out += [(node.name, p) for p in params if p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter that no body reads is an input that changes nothing
+    assert [(path.name, *where) for path in sorted(SRC.glob("*.py")) for where in unread_parameters(path)] == []
