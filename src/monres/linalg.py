@@ -1,7 +1,8 @@
 """Exact field arithmetic and the elimination kernel used everywhere else.
 
-Fields are the rationals (characteristic 0, :class:`fractions.Fraction`
-values) or a prime field GF(p) (values are ints in ``0..p-1``).  All
+Fields are the rationals (characteristic 0; an int if integral, else a
+:class:`fractions.Fraction`) or a prime field GF(p) (values are ints in
+``0..p-1``).  All
 elimination routines use one fixed pivoting order -- first nonzero entry
 scanning rows top-down, columns left-right -- so every basis produced
 downstream is reproducible run to run.
@@ -9,8 +10,8 @@ downstream is reproducible run to run.
 A matrix stores only its nonzero entries, row by row as ``{column: value}``
 dicts, and every operation walks those alone.  Elimination copies the rows
 and runs one of two inner loops: GF(p) reduces each product ``% p``; QQ
-scales each row to a primitive integer row, works fraction-free and forms
-Fractions only when it divides the pivot rows by their pivots at the end.
+scales each row to a primitive integer row, works fraction-free and divides
+the pivot rows by their pivots only at the end.
 The reduced row echelon form of a matrix is unique, so R, the pivots and
 everything read from them equal what the dense textbook loop gives.
 """
@@ -23,6 +24,11 @@ from math import gcd, lcm
 
 # the only number forms `to_json` and `format_chain` write: an int or a/b, ASCII digits
 _EXACT_NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _q(x):
+    """QQ normal form of an int or Fraction: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(p: int) -> bool:
@@ -39,16 +45,14 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """The exact coefficient field: char 0 rationals or GF(p)."""
+    """The exact coefficient field: char 0 rationals (in `_q` normal form) or GF(p)."""
 
     def __init__(self, characteristic: int = 0):
         if characteristic != 0:
             if characteristic >= 2**31 or not _is_prime(characteristic):
                 raise ValueError(f"characteristic must be 0 or a prime < 2^31, got {characteristic}")
         self.char = characteristic
-        # Fractions are immutable, so one shared value serves every read
-        self.zero = Fraction(0) if characteristic == 0 else 0
-        self.one = Fraction(1) if characteristic == 0 else 1
+        self.zero, self.one = 0, 1
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -72,7 +76,7 @@ class Field:
             a, b = number.groups()
             value = int(a) if b is None else Fraction(int(a), int(b))
         if self.char == 0:
-            return Fraction(value)
+            return _q(value if isinstance(value, (int, Fraction)) else Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator % self.char == 0:
                 raise ZeroDivisionError("denominator not invertible mod p")
@@ -80,13 +84,13 @@ class Field:
         return int(value) % self.char
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        return _q(a + b) if self.char == 0 else (a + b) % self.char
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        return _q(a - b) if self.char == 0 else (a - b) % self.char
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        return _q(a * b) if self.char == 0 else (a * b) % self.char
 
     def neg(self, a):
         return -a if self.char == 0 else (-a) % self.char
@@ -94,7 +98,9 @@ class Field:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.char == 0 else pow(a, -1, self.char)
+        if self.char:
+            return pow(a, -1, self.char)
+        return a if a in (1, -1) else _q(1 / Fraction(a))
 
     def to_str(self, a) -> str:
         return str(a)
@@ -205,7 +211,7 @@ class Matrix:
                 for j, b in other.rows[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             out.append({j: v % p for j, v in acc.items() if v % p} if p
-                       else {j: v for j, v in acc.items() if v})
+                       else {j: _q(v) for j, v in acc.items() if v})
         return Matrix.sparse(self.field, other.ncols, out)
 
     # -- elimination -------------------------------------------------
@@ -290,8 +296,9 @@ class Matrix:
         f = self.field
         rows, pivots = self._echelon(reduced=True)
         if not f.char:
-            rows[:len(pivots)] = [{c: Fraction(v, row[pc]) for c, v in row.items()}
-                                  for row, pc in zip(rows, pivots)]
+            for r, pc in enumerate(pivots):
+                if (d := rows[r][pc]) != 1:
+                    rows[r] = {c: v // d if v % d == 0 else Fraction(v, d) for c, v in rows[r].items()}
         return Matrix.sparse(f, self.ncols, rows), pivots, len(pivots)
 
     def rank(self) -> int:

@@ -303,21 +303,18 @@ class _SparseFrames:
     cancellation changes is kept as its own term dict in ``terms[i][v]``,
     copied from the input chain on the first change.
 
-    Over QQ every integral value is held as its int numerator: Python mixes
-    ints and Fractions exactly, and a ±1 pivot keeps an integral complex
-    integral, so Fractions appear only past a pivot other than ±1.
-    `complex()` turns the surviving values back into field elements.
+    Values are updated by Python's own arithmetic, which can leave an
+    integral Fraction; `complex()` puts the survivors in normal form.
     """
 
     def __init__(self, C: MultigradedComplex):
         self.C = C
-        self.copy = dict if C.field.char else _numerators
         self.keys = [[e.mdeg.exponents for e in lv] for lv in C.levels]
         self.alive = [set(range(len(lv))) for lv in C.levels]
         self.terms: list = [{} for _ in C.levels]
         self.rows, self.cols = [None], [None]
         for fr in C.frames[1:]:
-            rows = {u: self.copy(row) for u, row in enumerate(fr.rows)}
+            rows = {u: dict(row) for u, row in enumerate(fr.rows)}
             cols: dict = {v: {} for v in range(fr.ncols)}
             for u, row in rows.items():
                 for v, x in row.items():
@@ -354,18 +351,18 @@ class _SparseFrames:
             raise ValueError("cancellation entry is zero")
         if lo[q] != hi[p]:
             raise ValueError("cancellation entry is not a unit: multidegrees differ")
-        inv_a = a if a in (1, -1) else f.inv(a)
+        inv_a = f.inv(a)
         row_q, col_p, lv, own = rows.pop(q), cols.pop(p), self.C.levels[i], self.terms[i]
         del row_q[p], col_p[q]
         fp = own.pop(p, None)
         if fp is None and isinstance(lv[p].label, Chain):
-            fp = self.copy(lv[p].label.terms)
+            fp = dict(lv[p].label.terms)
         for v, x in row_q.items():
             del cols[v][q]
             if fp is not None and isinstance(lv[v].label, Chain):
                 c, terms = f.mul(inv_a, x), own.get(v)
                 if terms is None:
-                    terms = own[v] = self.copy(lv[v].label.terms)
+                    terms = own[v] = dict(lv[v].label.terms)
                 for fc, y in fp.items():
                     val = terms.get(fc, 0) - c * y
                     if ch:
@@ -415,11 +412,6 @@ class _SparseFrames:
                 Chain(f, {fc: f.of(y) for fc, y in own[j].items()}, dim=elems[j].label.dim),
                 elems[j].mdeg, i) for j in lv])
         return MultigradedComplex(self.C.ideal, f, levels, frames)
-
-
-def _numerators(values: dict) -> dict:
-    """A copy of these QQ values with each integral one as its int numerator."""
-    return {k: x.numerator if x.denominator == 1 else x for k, x in values.items()}
 
 
 def consecutive_cancellation(C: MultigradedComplex, i: int, q: int, p: int) -> MultigradedComplex:
@@ -640,7 +632,8 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
             if not independent:
                 raise TaylorBasisError(f"element {e.id}: boundary classes are dependent in homology", e.id)
 
-    # assemble levels in the given order and solve each boundary in the span
+    # assemble levels in the given order; one rref of [lower | boundaries] per level: up to the
+    # first boundary pivot, each boundary reads its solution off the lower pivot rows
     by_hdeg: dict = {}
     for m, c in placed:
         by_hdeg.setdefault(c.dim + 1, []).append((m, c))
@@ -650,23 +643,21 @@ def resolution_from_taylor_basis(lat: LcmLattice, chains) -> MultigradedComplex:
         levels.append([MgBasisElement(c, lat.element(m).mdeg, h) for m, c in by_hdeg[h]])
     frames: list = [None]
     for h in range(1, top + 1):
-        lower = [c for _, c in by_hdeg[h - 1]]
-        known = {fc for c in lower for fc in c.terms}
+        lower, bds = [c for _, c in by_hdeg[h - 1]], [boundary(c) for _, c in by_hdeg[h]]
+        known, n = {fc for c in lower for fc in c.terms}, len(lower)
         faces = sorted(known)
-        cols_bases = Matrix.from_columns(
-            field, len(faces),
-            [[c.terms.get(fc, field.zero) for fc in faces] for c in lower],
-        )
-        cols = []
-        for m, c in by_hdeg[h]:
-            b = boundary(c)
-            sol = (cols_bases.solve([b.terms.get(fc, field.zero) for fc in faces])
-                   if b.terms.keys() <= known else None)
-            if sol is None:
+        R, pivots, _ = Matrix.from_columns(field, len(faces), [[c.terms.get(fc, field.zero) for fc in faces]
+                                                                for c in lower + bds]).rref()
+        lower_rows = [(row, pc) for row, pc in zip(R.rows, pivots) if pc < n]
+        frame: list = [{} for _ in lower]
+        for k, ((m, c), b) in enumerate(zip(by_hdeg[h], bds), start=n):
+            if not b.terms.keys() <= known or k in pivots[len(lower_rows):]:
                 raise TaylorBasisError(
                     f"boundary of {format_chain(c)} is outside the span of lower basis chains", m)
-            cols.append(sol)
-        frames.append(Matrix.from_columns(field, len(by_hdeg[h - 1]), cols))
+            for row, pc in lower_rows:
+                if k in row:
+                    frame[pc][k - n] = row[k]
+        frames.append(Matrix.sparse(field, len(bds), frame))
     return MultigradedComplex(lat.ideal, field, levels, frames)
 
 

@@ -1,11 +1,13 @@
 """Elimination kernels: echelon form, kernels, solving, determinism."""
 
 import random
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monres.chains import Chain, boundary
 from monres.linalg import Field, Matrix, column_space_basis
 
 from conftest import DenseMatrix, typed_entries
@@ -274,3 +276,53 @@ def test_empty_shapes(char, shape):
     assert (R.nrows, R.ncols, pivots, rank, a.rank()) == (*shape, [], 0, 0)
     assert same(a.kernel_basis(), Matrix.identity(field, shape[1]))
     assert a.solve([field.zero] * shape[0]) == [field.zero] * shape[1]
+
+
+# -- the QQ normal form: an int when integral, else a Fraction ------------
+
+
+def normal(x):
+    """True iff the QQ value x is in normal form: an int, or a Fraction with denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_qq_zero_and_one_are_ints():
+    assert [(x, type(x)) for x in (QQ.zero, QQ.one)] == [(0, int), (1, int)]
+
+
+# ints and non-integral Fractions, whose sums, products and quotients are often integral
+normal_values = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4])).map(
+    lambda x: x.numerator if x.denominator == 1 else x)
+
+
+def normal_matrices(nrows, ncols):
+    return st.lists(st.lists(normal_values, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda rows: Matrix(QQ, rows))
+
+
+def normal_chains(dim):
+    faces = list(combinations(range(1, 5), dim + 1))
+    return st.dictionaries(st.sampled_from(faces), normal_values, max_size=len(faces)).map(
+        lambda terms: Chain(QQ, terms, dim=dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_qq_values_stay_in_normal_form(data):
+    a, b = data.draw(normal_values), data.draw(normal_values)
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m, other, square = (data.draw(normal_matrices(*shape)) for shape in ((n, k), (k, n), (n, n)))
+    rhs = data.draw(st.lists(normal_values, min_size=n, max_size=n))
+    c1, c2 = data.draw(normal_chains(1)), data.draw(normal_chains(1))
+    values = [QQ.of(a), QQ.of(str(a)), QQ.of(Fraction(a)), QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+    values += [QQ.inv(a)] if a else []
+    values += m.solve(rhs) or []
+    matrices = [m.mul(other), m.rref()[0], m.kernel_basis()]
+    try:
+        matrices.append(square.inverse())
+    except ValueError:
+        assert square.rank() < n
+    chains = [c1.add(c2), c1.scale(a), Chain.combine(QQ, [(a, c1), (b, c2)], 1), boundary(c1)]
+    values += [x for mat in matrices for row in mat.rows for x in row.values()]
+    values += [x for c in chains for x in c.terms.values()]
+    assert all(normal(x) for x in values), [x for x in values if not normal(x)]

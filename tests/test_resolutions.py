@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from monres.chains import Chain, boundary, format_chain, support
 from monres.lattice import LcmLattice
@@ -365,6 +365,73 @@ def test_resolution_from_basis_errors_name_their_element(lattices, name, edit, m
     with pytest.raises(TaylorBasisError, match=f"^{re.escape(message)}$") as err:
         resolution_from_taylor_basis(lat, edit(B.chains()))
     assert err.value.m_id == (None if label is None else lat.id_of_label(label))
+
+
+def ref_frames_by_solve(lat, chains):
+    """The frames `resolution_from_taylor_basis` builds, one `Matrix.solve` per column."""
+    field, by_hdeg = chains[0].field, {}
+    for m, c in TaylorBasis.of(lat, chains).flat():
+        by_hdeg.setdefault(c.dim + 1, []).append((m, c))
+    frames = []
+    for h in range(1, max(by_hdeg) + 1):
+        lower = [c for _, c in by_hdeg[h - 1]]
+        faces = sorted({fc for c in lower for fc in c.terms})
+        A = Matrix.from_columns(field, len(faces), [[c.terms.get(fc, field.zero) for fc in faces] for c in lower])
+        cols = []
+        for m, c in by_hdeg[h]:
+            b = boundary(c)
+            sol = A.solve([b.terms.get(fc, field.zero) for fc in faces]) if b.terms.keys() <= set(faces) else None
+            if sol is None:
+                raise TaylorBasisError(f"boundary of {format_chain(c)} is outside the span of lower basis chains", m)
+            cols.append(sol)
+        frames.append(Matrix.from_columns(field, len(lower), cols))
+    return frames
+
+
+@st.composite
+def edited_bases(draw):
+    """(lattice, chains): an atomic Taylor basis, reordered, with a few chains scaled or moved by a boundary.
+
+    Scaling keeps it a basis; adding a multiple of the boundary of a face
+    in the chain's simplex keeps its boundary, so only the span of its level
+    changes, which often leaves a boundary one level up outside it.
+    """
+    field, lat = draw(taylor_cases())
+    B, _ = atomic_lattice_resolution(lat, field)
+    rng, chains = random.Random(draw(st.integers(0, 2**32 - 1))), B.chains()
+    rng.shuffle(chains)
+    nonzero = st.integers(1, field.char - 1 if field.char else 5).map(field.of)
+    simplex = {k: sorted(lat.element(lat.closure_id(support(c))).A) for k, c in enumerate(chains)}
+    top = max(c.dim for c in chains)
+    scale = [k for k, c in enumerate(chains) if c.dim >= 1]  # the bottom and the vertices stay
+    cone = [k for k, c in enumerate(chains) if 1 <= c.dim < top and len(simplex[k]) >= c.dim + 2]
+    for k in [rng.choice(scale) for _ in range(draw(st.integers(0, 2)) if scale else 0)]:
+        chains[k] = chains[k].scale(draw(nonzero))
+    for k in [rng.choice(cone) for _ in range(draw(st.integers(0, 2)) if cone else 0)]:
+        F = rng.sample(simplex[k], chains[k].dim + 2)
+        chains[k] = chains[k].add(boundary(Chain.from_face(field, F)).scale(draw(nonzero)))
+    return lat, chains
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=edited_bases())
+def test_resolution_from_basis_solves_each_level_as_each_column_alone(case):
+    # one elimination per level, against one `solve` per column: the same frames, values
+    # and types, or the same first column outside the span
+    lat, chains = case
+    try:
+        C = resolution_from_taylor_basis(lat, chains)
+    except TaylorBasisError as err:
+        outside = "outside the span" in str(err)
+        event("outside the span" if outside else "rejected before the level maps")
+        if outside:
+            with pytest.raises(TaylorBasisError) as ref:
+                ref_frames_by_solve(lat, chains)
+            assert (str(ref.value), ref.value.m_id) == (str(err), err.m_id)
+        return
+    event("built")
+    want = ref_frames_by_solve(lat, chains)
+    assert C.frames[1:] == want and [typed_entries(fr) for fr in C.frames[1:]] == [typed_entries(fr) for fr in want]
 
 
 def _with_level(C, i, level):
@@ -967,6 +1034,32 @@ def test_minimize_matches_dense_reference_past_pivots_other_than_one(case, data)
     D, ref_basis = ref_minimize_resolution(S, lat)
     assert_same_complex(C, D)
     assert basis.flat() == ref_basis.flat()
+
+
+def test_qq_resolution_values_are_in_normal_form(ideals, lattices):
+    # an int when integral, else a Fraction: on the atomic frames and basis, and on the labels
+    # and frames of a minimized Taylor resolution, also one in a basis e_v scaled to lam(v) e_v
+    def normal(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+    lat = lattices["stable7"]
+    B, C = atomic_lattice_resolution(lat, QQ)
+    T = taylor_resolution(ideals["stable7"], QQ)
+    # with this seed the raw products of the cancellation leave integral Fractions in a frame
+    # and in a label, which only `complex()` puts back into normal form
+    rng, scales = random.Random(10), [1, 2, 3, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(-1, 3)]
+    lam = [[1]] + [[rng.choice(scales) for _ in lv] for lv in T.levels[1:]]
+    S = MultigradedComplex(T.ideal, QQ, [[MgBasisElement(e.label.scale(lam[h][v]), e.mdeg, h)
+                                          for v, e in enumerate(lv)] for h, lv in enumerate(T.levels)],
+                           [None] + [Matrix.sparse(QQ, fr.ncols, [
+                               {v: QQ.mul(x, QQ.mul(lam[h][v], QQ.inv(lam[h - 1][u]))) for v, x in row.items()}
+                               for u, row in enumerate(fr.rows)]) for h, fr in enumerate(T.frames) if h])
+    assert S.is_complex()
+    minimal = [minimize_resolution(T, lat)[0], minimize_resolution(S, lat)[0]]
+    values = [x for D in [C] + minimal for fr in D.frames[1:] for row in fr.rows for x in row.values()]
+    values += [x for D in minimal for lv in D.levels for e in lv for x in e.label.terms.values()]
+    values += [x for c in B.chains() for x in c.terms.values()]
+    assert all(normal(x) for x in values) and any(type(x) is Fraction for x in values)
 
 
 def cone_of_the_identity(D):

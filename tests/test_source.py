@@ -25,6 +25,12 @@ def test_random_only_where_the_caller_asks_for_random_ideals():
     assert users == {"monomials.py", "cli.py"}
 
 
+def test_fractions_only_in_linalg():
+    # QQ values have one normal form, an int or a non-integral Fraction, made in linalg alone
+    users = {path.name for path in SRC.glob("*.py") if "fractions" in imported_modules(path)}
+    assert users == {"linalg.py"}
+
+
 def test_only_the_standard_library_and_monres_are_imported():
     # the package is dependency-free: numpy is installed for development but stays out
     outside = {path.name: sorted(imported_modules(path) - set(sys.stdlib_module_names) - {"monres"})
