@@ -151,8 +151,8 @@ def is_nearly_hm(lat: LcmLattice, field: Field) -> ClassVerdict:
     return ClassVerdict("yes")
 
 
-def is_betti_linear(lat: LcmLattice, field: Field) -> ClassVerdict:
-    out = poset_construction(lat, field)
+def is_betti_linear(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> ClassVerdict:
+    out = poset_construction(lat, field, hb)
     if out.is_minimal_resolution():
         return ClassVerdict("yes", "poset construction is a minimal resolution")
     if not out.is_complex:
@@ -217,13 +217,14 @@ def _certify_exactness_all_choices(sym) -> bool:
     return first_inexact_element(lat, field, at, rank) is None
 
 
-def analyse_rlm(lat: LcmLattice, field: Field) -> RlmAnalysis:
+def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> RlmAnalysis:
     """Evidence for the homology-linear verdicts, from the symbolic rlm construction.
 
     The canonical instance is its evaluate({}).  Above MAX_RLM_PARAMS
     parameters only that instance is built, by rlm_construction.
     """
-    hb = HomologyBasis.canonical(lat, field)
+    if hb is None:
+        hb = HomologyBasis.canonical(lat, field)
     sym = rlm_symbolic(lat, field, hb, max_params=MAX_RLM_PARAMS)
     if sym is None:
         canonical_ok = rlm_construction(lat, field, hb).is_minimal_resolution()
@@ -268,11 +269,13 @@ def classify(lat: LcmLattice, field: Field) -> ClassificationReport:
     report.verdicts["rigid"] = is_rigid(lat, field)
     nhm = is_nearly_hm(lat, field)
     report.verdicts["nearly_hm"] = nhm
-    bl = is_betti_linear(lat, field)
+    # one canonical basis, and its stored columns, for the poset and rlm constructions
+    hb = HomologyBasis.canonical(lat, field)
+    bl = is_betti_linear(lat, field, hb)
     report.verdicts["betti_linear"] = bl
     report.verdicts["lattice_linear"] = is_lattice_linear(lat, field, scarf)
 
-    analysis = analyse_rlm(lat, field)
+    analysis = analyse_rlm(lat, field, hb)
 
     if analysis.sample_fail or analysis.complex_breaking_point is not None:
         strongly = ClassVerdict("no", "a homology-approximation instance fails")

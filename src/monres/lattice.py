@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
+from monres.chains import boundary
 from monres.linalg import Field, Matrix
 from monres.monomials import (IdealParseError, Monomial, MonomialIdeal, json_document, json_object,
                               parse_monomial)
-from monres.vcomplex import (class_in_homology, complex_of_facets, graph_homology_dims, reduced_cycles,
+from monres.vcomplex import (chain_to_coords, complex_of_facets, graph_homology_dims, reduced_cycles,
                              reduced_homology_dims)
 
 MAX_ATOMS = 63
@@ -276,15 +277,22 @@ class LcmLattice:
     def is_homology_basis(self, m_id: int, field: Field, d: int, cycles) -> bool:
         """Whether the classes of the d-chains `cycles` form a basis of H~_d(Delta_m).
 
-        Their coordinates in `homology_at`'s basis come from `class_in_homology`,
-        which raises ValueError where a chain is not a cycle of Delta_m.
+        There must be dim H~_d of them, and each must be a cycle of Delta_m:
+        a chain with a face outside it, or a nonzero boundary, raises
+        ValueError.  n cycles are independent modulo the boundaries iff they
+        raise the rank of the image of d_{d+2} by n.
         """
-        n, reps = self.homology_at(m_id, field).get(d, (0, []))
+        n = self.homology_dims_at(m_id, field).get(d, 0)
         if len(cycles) != n:
             return False
         cx = self.complex_at(m_id, field)
-        coords = [class_in_homology(cx, c, reps) for c in cycles]
-        return Matrix.from_columns(field, n, coords).rank() == n
+        coords = []
+        for c in cycles:
+            coords.append(chain_to_coords(cx, c))
+            if c.dim >= 0 and not boundary(c).is_zero():
+                raise ValueError("not a cycle")
+        spanned = cx.differential(d + 2).stack_columns(Matrix.from_columns(field, cx.level_dim(d + 1), coords))
+        return spanned.rank() == cx.rank(d + 2) + n
 
     def betti_poset_ids(self, field: Field):
         """Bottom plus every element with nonvanishing reduced homology."""

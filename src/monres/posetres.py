@@ -31,12 +31,20 @@ from monres.vcomplex import class_in_homology, complex_of_facets, in_complex, re
 
 
 class HomologyBasis:
-    """A fixed basis of the reduced homology at every Betti-poset element."""
+    """A fixed basis of the reduced homology at every Betti-poset element.
+
+    `columns` keeps the component column of each canonical preimage
+    computed on this basis, keyed by the class label (m, d, j) and the
+    subcomplex's facets.  It depends only on those and the basis, so the
+    poset construction, `rlm_construction` and `rlm_symbolic` compute it
+    once between them; a basis made by `with_chains` starts with none.
+    """
 
     def __init__(self, lattice: LcmLattice, field: Field, data):
         self.lattice = lattice
         self.field = field
         self.data = {m: {d: list(cs) for d, cs in dims.items()} for m, dims in data.items()}
+        self.columns: dict = {}
 
     @staticmethod
     def canonical(lattice: LcmLattice, field: Field) -> "HomologyBasis":
@@ -325,19 +333,24 @@ def _construction_levels(lat: LcmLattice, hb: HomologyBasis):
         [b for b in blocks if b[1] == i - 2] for i in range(2, top + 1)]
 
 
-def _column(lat: LcmLattice, hb: HomologyBasis, lbl, i: int | None = None, preimages=None):
-    """(gammas, facets, preimage) of the column at the basis class lbl = (m, d, j).
+def _column(lat: LcmLattice, hb: HomologyBasis, lbl, row_index, i: int | None = None, preimages=None):
+    """(gammas, facets, component column) of the column at the basis class lbl = (m, d, j).
 
     The subcomplex is generated by the maximal elements of B(m), or of
     B_i(m) when i is given.  The preimage is the canonical one, or the
     explicit one in `preimages`, which must lie in the subcomplex and map
-    to the basis class under inclusion.
+    to the basis class under inclusion.  A canonical column is kept in
+    hb.columns, an explicit one never.
     """
     m, d, j = lbl
     field = hb.field
     gammas, facets = reduced_subcomplex(lat, field, m, i)
     if not preimages or lbl not in preimages:
-        return gammas, facets, sigma_preimage(lat, field, m, facets, hb.classes_at(m, d)[j])
+        key = (lbl, facets)
+        if key not in hb.columns:
+            z = sigma_preimage(lat, field, m, facets, hb.classes_at(m, d)[j])
+            hb.columns[key] = _component_column(lat, hb, z, gammas, row_index)
+        return gammas, facets, hb.columns[key]
     z = preimages[lbl]
     want = [field.one if k == j else field.zero for k in range(len(hb.classes_at(m, d)))]
     try:
@@ -346,7 +359,7 @@ def _column(lat: LcmLattice, hb: HomologyBasis, lbl, i: int | None = None, preim
         raise ValueError(f"explicit preimage at {lbl}: {e}") from None
     if not ok:
         raise ValueError(f"explicit preimage at {lbl} has the wrong class")
-    return gammas, facets, z
+    return gammas, facets, _component_column(lat, hb, z, gammas, row_index)
 
 
 def _component_column(lat: LcmLattice, hb: HomologyBasis, preimage: Chain, gammas, row_index):
@@ -415,8 +428,7 @@ def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None =
     levels = _construction_levels(lat, hb)
 
     def column(lbl, row_index):
-        gammas, _, z = _column(lat, hb, lbl)
-        return _component_column(lat, hb, z, gammas, row_index)
+        return _column(lat, hb, lbl, row_index)[2]
 
     return _output("poset", lat, hb, levels, _assemble(field, levels, column))
 
@@ -437,8 +449,7 @@ def rlm_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = N
         raise ValueError(f"preimage at {min(stray)} names no construction column")
 
     def column(lbl, row_index):
-        gammas, _, z = _column(lat, hb, lbl, lbl[1], preimages)
-        return _component_column(lat, hb, z, gammas, row_index)
+        return _column(lat, hb, lbl, row_index, lbl[1], preimages)[2]
 
     return _output("rlm", lat, hb, levels, _assemble(field, levels, column))
 
@@ -471,39 +482,42 @@ def rlm_symbolic(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
     """Parameterize all rlm preimage choices; None if there are more than max_params.
 
     Each column is the canonical preimage plus one parameter per kernel
-    vector of the comparison map, so evaluate({}) is rlm_construction.
+    vector of the comparison map H~_d(sub) -> H~_d(Delta_m), so evaluate({})
+    is rlm_construction.  The canonical column comes first, from
+    hb.columns.  The map is onto: `sigma_preimage` finds a preimage of
+    every class at (m, d), or raises and no construction is returned.  So
+    its kernel has dimension dim H~_d(sub) minus the number of classes,
+    and the subcomplex's cycles, their class coordinates and the kernel
+    are computed only where that is positive.
     """
     if hb is None:
         hb = HomologyBasis.canonical(lat, field)
     levels = _construction_levels(lat, hb)
     params: list = []
     columns: dict = {}
-    for lbl in [lbl for lv in levels[2:] for lbl in lv]:
-        m, d, j = lbl
-        gammas, facets, base = _column(lat, hb, lbl, d)
-        terms = [(Poly.const(field, field.one), base)]
-        reps = reduced_cycles(complex_of_facets(field, facets), d)
-        if reps:
-            coord_cols = [hb.class_coords(m, rchain) for rchain in reps]
-            coeff = Matrix.from_columns(field, len(hb.classes_at(m, d)), coord_cols)
-            for k, vec in enumerate(coeff.kernel_basis().columns()):
-                kern = Chain.combine(field, list(zip(vec, reps)), dim=d)
-                terms.append((Poly.var(field, len(params)), kern))
-                params.append((m, d, j, k))
-        if max_params is not None and len(params) > max_params:
-            return None
-        columns[lbl] = (gammas, terms)
+    for i in range(2, len(levels)):
+        row_index = {lbl: r for r, lbl in enumerate(levels[i - 1])}
+        for lbl in levels[i]:
+            m, d, j = lbl
+            gammas, facets, base = _column(lat, hb, lbl, row_index, d)
+            col = [Poly.const(field, v) for v in base]
+            n = len(hb.classes_at(m, d))
+            sub = complex_of_facets(field, facets)
+            if sub.homology_dim(d + 1) > n:
+                reps = reduced_cycles(sub, d)
+                coeff = Matrix.from_columns(field, n, [hb.class_coords(m, z) for z in reps])
+                for k, vec in enumerate(coeff.kernel_basis().columns()):
+                    t = Poly.var(field, len(params))
+                    kern = Chain.combine(field, list(zip(vec, reps)), dim=d)
+                    for r, v in enumerate(_component_column(lat, hb, kern, gammas, row_index)):
+                        if v != field.zero:
+                            col[r] = col[r].add(t.scale(v))
+                    params.append((m, d, j, k))
+            if max_params is not None and len(params) > max_params:
+                return None
+            columns[lbl] = col
 
-    def column(lbl, row_index):
-        gammas, terms = columns[lbl]
-        col = [Poly(field) for _ in row_index]
-        for t, z in terms:
-            for r, v in enumerate(_component_column(lat, hb, z, gammas, row_index)):
-                if v != field.zero:
-                    col[r] = col[r].add(t.scale(v))
-        return col
-
-    matrices = _assemble(field, levels, column, symbolic=True)
+    matrices = _assemble(field, levels, lambda lbl, _: columns[lbl], symbolic=True)
     return SymbolicRlm(levels, matrices, params, hb, lat, field)
 
 

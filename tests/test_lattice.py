@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import monres.lattice as lattice_module
+from monres.chains import Chain, boundary
 from monres.classify import classify, lattice_linear_greedy
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import Monomial, MonomialIdeal, parse_ideal_text, random_minimal_ideal
 from monres.resolutions import (ClosureChains, atomic_lattice_resolution, closure_walk,
                                 minimize_resolution, taylor_resolution, verify_resolution)
-from monres.vcomplex import complex_of_facets, reduced_homology
+from monres.vcomplex import class_in_homology, complex_of_facets, reduced_homology
 
 from conftest import LATTICES, random_corpus
 
@@ -772,3 +773,78 @@ def test_homology_at_builds_kernels_only_where_homology_lives(lattices, monkeypa
     homs = [lat.homology_at(e.id, field) for e in lat.elements if e.id != lat.bottom]
     # H~_d sits at level d + 1 of Delta_m; level 0 (d = -1) needs no kernel
     assert len(kernels) == sum(1 for hom in homs for d in hom if d >= 0) > 0
+
+
+# -- the homology-basis check -------------------------------------------------
+
+
+def ref_is_homology_basis(lat, m_id, field, d, cycles):
+    """The coordinate check: each class solved in `homology_at`'s basis, then one rank."""
+    n, reps = lat.homology_at(m_id, field).get(d, (0, []))
+    if len(cycles) != n:
+        return False
+    cx = lat.complex_at(m_id, field)
+    coords = [class_in_homology(cx, c, reps) for c in cycles]
+    return Matrix.from_columns(field, n, coords).rank() == n
+
+
+def homology_basis_candidates(lat, field, m_id, rng):
+    """(d, chains, expected) at m: True for a basis, False for none, None where a chain is no cycle."""
+    cx, dims = lat.complex_at(m_id, field), lat.homology_dims_at(m_id, field)
+    out = [] if 0 in dims else [(0, [], True)]
+
+    def c():
+        return field.of(rng.randint(-2, 2))
+
+    for d, (n, reps) in lat.homology_at(m_id, field).items():
+        bounds = [boundary(Chain.from_face(field, f)) for f in cx.labels[d + 2]] if d + 2 <= cx.length else []
+
+        def bound():
+            return rng.choice(bounds).scale(c()) if bounds else Chain.zero(field, d)
+
+        # a unitriangular change of basis, each class moved by a boundary
+        mixed = [Chain.combine(field, [(c(), w) for w in reps[i + 1:]], d).add(z).add(bound())
+                 for i, z in enumerate(reps)]
+        # the last class replaced by a combination of the others
+        dependent = reps[:-1] + [Chain.combine(field, [(c(), w) for w in reps[:-1]], d).add(bound())]
+        out += [(d, reps, True), (d, reps[::-1], True), (d, mixed, True), (d, dependent, False),
+                (d, reps[:-1], False), (d, reps + reps[:1], False), (d + 1, [], d + 1 not in dims)]
+        if d >= 0:
+            f = cx.labels[d + 1][0]
+            non_cycle = reps[0].add(Chain.from_face(field, f))
+            # a face on the vertex r + 1, which no label holds
+            outside = reps[0].add(Chain.from_face(field, f[:-1] + (len(lat.atom_ids) + 1,)))
+            out += [(d, [non_cycle] + reps[1:], None), (d, reps[:-1] + [outside], None),
+                    (d, [outside] + reps[1:-1] + [non_cycle], None) if n > 1 else (d, [], False),
+                    (d, reps + [outside], False)]
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def assert_basis_check_matches_coordinates(lat, field, rng):
+    for e in lat.elements:
+        if e.id == lat.bottom:
+            continue
+        for d, chains, expected in homology_basis_candidates(lat, field, e.id, rng):
+            got = outcome(lat.is_homology_basis, e.id, field, d, chains)
+            assert got == outcome(ref_is_homology_basis, lat, e.id, field, d, chains), (sorted(e.A), d, chains)
+            assert isinstance(got, tuple) if expected is None else got is expected, (sorted(e.A), d, chains)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"char{f.char}")
+def test_homology_basis_check_matches_coordinates_on_named_lattices(lattices, field):
+    for name, lat in sorted(lattices.items()):
+        assert_basis_check_matches_coordinates(lat, field, random.Random(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=generated_lattices(7), seed=st.integers(0, 2**32 - 1))
+def test_homology_basis_check_matches_coordinates_on_generated_lattices(case, seed):
+    field, lat = case
+    assert_basis_check_matches_coordinates(lat, field, random.Random(seed))

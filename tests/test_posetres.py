@@ -1,21 +1,28 @@
 """Mayer-Vietoris machinery: subcomplexes, comparison maps, both constructions."""
 
 import re
+from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monres.classify as classify_module
+import monres.posetres as posetres
 from monres.chains import Chain, boundary
+from monres.classify import MAX_RLM_PARAMS
 from monres.linalg import Field, Matrix
-from monres.posetres import (HomologyBasis, SymbolicRlm, certified_constant_rank,
-                             extract_basis_and_preimages, mv_connecting,
-                             poset_construction, reduced_subcomplex, rlm_construction,
-                             rlm_symbolic, sigma_map, sigma_preimage, Poly)
+from monres.posetres import (HomologyBasis, SymbolicRlm, _assemble, _component_column,
+                             _construction_levels, certified_constant_rank,
+                             extract_basis_and_preimages, mv_connecting, poset_construction,
+                             reduced_subcomplex, rlm_construction, rlm_symbolic, sigma_map,
+                             sigma_preimage, Poly)
 from monres.resolutions import atomic_lattice_resolution, maximal_approximation
 from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, prune_facets,
-                             reduced_homology, reduced_homology_dims)
+                             reduced_cycles, reduced_homology, reduced_homology_dims)
 
 from conftest import IDEALS, LATTICES, DenseMatrix, ch, random_corpus
+from test_lattice import generated_lattices
 from test_vcomplex import facet_lists, ref_faces_of
 
 
@@ -453,6 +460,125 @@ def test_rlm_symbolic_split6_identically_complex(lattices):
     assert len(sym.params) >= 1
     comps = sym.composites()
     assert all(p.is_zero() for mat in comps.values() for row in mat for p in row)
+
+
+# -- one canonical column per (class, subcomplex) -----------------------------
+
+
+def ref_rlm_symbolic(lat, field, hb=None, max_params=None):
+    """rlm_symbolic as it was before the basis kept its columns: each column's
+    preimage solved again, and the subcomplex's cycles, their class coordinates
+    and the kernel computed at every column."""
+    if hb is None:
+        hb = HomologyBasis.canonical(lat, field)
+    levels = _construction_levels(lat, hb)
+    params, columns = [], {}
+    for lbl in [lbl for lv in levels[2:] for lbl in lv]:
+        m, d, j = lbl
+        gammas, facets = reduced_subcomplex(lat, field, m, d)
+        terms = [(Poly.const(field, field.one), sigma_preimage(lat, field, m, facets, hb.classes_at(m, d)[j]))]
+        reps = reduced_cycles(complex_of_facets(field, facets), d)
+        if reps:
+            coeff = Matrix.from_columns(field, len(hb.classes_at(m, d)), [hb.class_coords(m, z) for z in reps])
+            for k, vec in enumerate(coeff.kernel_basis().columns()):
+                terms.append((Poly.var(field, len(params)), Chain.combine(field, list(zip(vec, reps)), dim=d)))
+                params.append((m, d, j, k))
+        if max_params is not None and len(params) > max_params:
+            return None
+        columns[lbl] = (gammas, terms)
+
+    def column(lbl, row_index):
+        gammas, terms = columns[lbl]
+        col = [Poly(field) for _ in row_index]
+        for t, z in terms:
+            for r, v in enumerate(_component_column(lat, hb, z, gammas, row_index)):
+                if v != field.zero:
+                    col[r] = col[r].add(t.scale(v))
+        return col
+
+    return SymbolicRlm(levels, _assemble(field, levels, column, symbolic=True), params, hb, lat, field)
+
+
+def ref_classify_rows(lat, field):
+    """classify's rows with no column shared: the poset construction on a canonical
+    basis of its own, and the rlm analysis's symbolic construction by `ref_rlm_symbolic`."""
+    own_basis = classify_module.is_betti_linear
+    with patch.object(classify_module, "is_betti_linear", lambda lat, field, hb: own_basis(lat, field)), \
+            patch.object(classify_module, "rlm_symbolic", ref_rlm_symbolic):
+        return classify_module.classify(lat, field).rows()
+
+
+def poly_terms(matrices):
+    return [[[p.terms for p in row] for row in mat] for mat in matrices[1:]]
+
+
+def assert_shared_columns_change_nothing(lat, field):
+    ref = ref_rlm_symbolic(lat, field)
+    sym = rlm_symbolic(lat, field)
+    assert sym.params == ref.params
+    assert poly_terms(sym.matrices) == poly_terms(ref.matrices)
+    for k in (0, len(ref.params) - 1, MAX_RLM_PARAMS):
+        over = ref_rlm_symbolic(lat, field, max_params=k) is None
+        assert (rlm_symbolic(lat, field, max_params=k) is None) == over
+    # the three constructions on one basis, in classify's order, against each on its own
+    hb = HomologyBasis.canonical(lat, field)
+    assert poset_construction(lat, field, hb).matrices == poset_construction(lat, field).matrices
+    assert poly_terms(rlm_symbolic(lat, field, hb).matrices) == poly_terms(ref.matrices)
+    assert rlm_construction(lat, field, hb).matrices == rlm_construction(lat, field).matrices
+    assert classify_module.classify(lat, field).rows() == ref_classify_rows(lat, field)
+    return len(ref.params)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_shared_columns_change_nothing_on_named_lattices(lattices, char):
+    field = Field(char)
+    with_params = {name for name, lat in lattices.items() if assert_shared_columns_change_nothing(lat, field)}
+    assert {"four_gens", "split6"} <= with_params
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=generated_lattices(8))
+def test_shared_columns_change_nothing_on_generated_lattices(case):
+    field, lat = case
+    assert_shared_columns_change_nothing(lat, field)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+@pytest.mark.parametrize("name", list(IDEALS) + list(LATTICES))
+def test_classify_computes_each_column_once(lattices, monkeypatch, name, char):
+    lat, field = lattices[name], Field(char)
+    preimages, cycles = Counter(), []
+
+    def counting_preimage(lat, field, m_id, sub_facets, cycle):
+        preimages[m_id, sub_facets, cycle] += 1
+        return sigma_preimage(lat, field, m_id, sub_facets, cycle)
+
+    def counting_cycles(cx, d):
+        cycles.append(d)
+        return reduced_cycles(cx, d)
+
+    monkeypatch.setattr(posetres, "sigma_preimage", counting_preimage)
+    monkeypatch.setattr(posetres, "reduced_cycles", counting_cycles)
+    classify_module.classify(lat, field)
+    assert set(preimages.values()) <= {1}
+    monkeypatch.undo()
+    # the subcomplex's cycles only at the columns that get a parameter
+    with_params = {p[:3] for p in rlm_symbolic(lat, field).params}
+    assert len(cycles) == len(with_params)
+    assert (name in ("four_gens", "split6")) <= bool(with_params)
+
+
+def test_stored_columns_belong_to_one_basis(lattices):
+    lat = lattices["cone3b"]
+    top, m12 = lat.top, lat.id_of_label({1, 2})
+    hb = HomologyBasis.canonical(lat, QQ)
+    poset_construction(lat, QQ, hb)
+    assert hb.columns
+    given_chains = hb.with_chains({(top, 0): [ch("-1+3")], (m12, 0): [ch("-1+2")]})
+    assert given_chains.columns == {} and hb.with_chains({}).columns == {}
+    # an explicit preimage's column is never kept; the canonical ones are
+    rlm_construction(lat, QQ, given_chains, preimages={(top, 0, 0): ch("-2+3")})
+    assert given_chains.columns and (top, 0, 0) not in {lbl for lbl, _ in given_chains.columns}
 
 
 # -- polynomial helpers -----------------------------------------------------

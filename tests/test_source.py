@@ -54,3 +54,31 @@ def unread_parameters(path):
 def test_every_parameter_is_read():
     # a parameter that no body reads is an input that changes nothing
     assert [(path.name, *where) for path in sorted(SRC.glob("*.py")) for where in unread_parameters(path)] == []
+
+
+CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+
+
+def module_level_containers(path):
+    """Names a module binds, at its top level, to a dict, set or list, by literal or by call."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, CONTAINERS) or isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+                and value.func.id in ("dict", "set", "list", "defaultdict", "OrderedDict", "Counter"):
+            out += [ast.unparse(t) for t in targets]
+    return out
+
+
+def test_no_module_level_cache():
+    # caches live on an LcmLattice or a HomologyBasis and die with it; a module-level
+    # memo would outlive every lattice and grow with each ideal a process sees
+    bound = {path.name: module_level_containers(path) for path in SRC.glob("*.py")}
+    assert {name: names for name, names in bound.items() if names} == {
+        "__init__.py": ["__all__"], "classify.py": ["CLASS_NAMES", "IMPLICATIONS"]}
