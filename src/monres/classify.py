@@ -104,15 +104,17 @@ def is_nearly_scarf(lat: LcmLattice) -> ClassVerdict:
     return ClassVerdict("yes")
 
 
+def _betti_dims(lat: LcmLattice, field: Field):
+    """dict m -> homology dims at the nonbottom Betti elements, in element order: an element
+    with no homology is in no witness of the scans below (it shares no dim, holds no i + 1)."""
+    return {m: lat.homology_dims_at(m, field) for m in lat.betti_poset_ids(field)[1:]}
+
+
 def is_homologically_monotonic(lat: LcmLattice, field: Field) -> ClassVerdict:
-    dims = {e.id: lat.homology_dims_at(e.id, field) for e in lat.elements if e.id != lat.bottom}
+    dims = _betti_dims(lat, field)
     for m1, d1 in dims.items():
-        if not d1:
-            continue
         for m2, d2 in dims.items():
-            if not d2 or not lat.lt(m1, m2):
-                continue
-            if max(d1) >= min(d2):
+            if lat.lt(m1, m2) and max(d1) >= min(d2):
                 return ClassVerdict(
                     "no",
                     f"{sorted(lat.element(m1).A)} < {sorted(lat.element(m2).A)} with dims {sorted(d1)} vs {sorted(d2)}",
@@ -134,7 +136,7 @@ def is_rigid(lat: LcmLattice, field: Field) -> ClassVerdict:
 
 
 def is_nearly_hm(lat: LcmLattice, field: Field) -> ClassVerdict:
-    dims = {e.id: lat.homology_dims_at(e.id, field) for e in lat.elements if e.id != lat.bottom}
+    dims = _betti_dims(lat, field)
     for m1, d1 in dims.items():
         for m2, d2 in dims.items():
             if not lat.lt(m1, m2):
@@ -238,12 +240,12 @@ def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) 
     if not composites_zero:
         # every composite entry is multilinear, each parameter living in one column
         # of one map: with the variables of a least-degree term at 1 and all others
-        # at 0, the first nonzero entry equals that term's coefficient
+        # at 0, the first nonzero entry equals that term's coefficient, nonzero.
+        # Evaluation commutes with the product of consecutive maps, so that entry
+        # is an entry of the instance's composite: the instance is not a complex
         first = next(p for p in entries if not p.is_zero())
         term = min(first.terms, key=lambda k: (len(k), k))
-        point = {v: field.one for v in term}
-        if not sym.evaluate(point).is_complex:
-            breaking = point
+        breaking = {v: field.one for v in term}
     sample_ok = canonical_ok
     sample_fail = not canonical_ok
     for v in range(len(sym.params)):
@@ -253,7 +255,8 @@ def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) 
         else:
             sample_fail = True
     certified = False
-    if composites_zero and canonical_ok and not sample_fail:
+    # sample_fail starts at `not canonical_ok` and only turns True: its absence implies canonical_ok
+    if composites_zero and not sample_fail:
         certified = _certify_exactness_all_choices(sym)
     return RlmAnalysis(canonical_ok, composites_zero, const_nonzero, breaking,
                        sample_ok, sample_fail, certified)
@@ -287,12 +290,11 @@ def classify(lat: LcmLattice, field: Field) -> ClassificationReport:
         strongly = ClassVerdict("unknown")
     report.verdicts["strongly_homology_linear"] = strongly
 
+    # strongly is "yes" only without sample_fail, which implies canonical_ok: the first branch
     if analysis.canonical_ok or analysis.sample_ok:
         hl = ClassVerdict("yes", "a homology-approximation instance is a minimal resolution")
     elif bl.verdict == "yes":
         hl = ClassVerdict("yes", "Betti-linear")
-    elif strongly.verdict == "yes":
-        hl = ClassVerdict("yes", "strongly homology-linear")
     elif analysis.const_nonzero_entry:
         hl = ClassVerdict("no", "a forced nonzero composite component breaks every choice")
     else:

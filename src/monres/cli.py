@@ -64,7 +64,11 @@ def _field(args, char) -> Field:
         return Field(char)
     env = os.environ.get("MONRES_FIELD")
     if env:
-        return Field(int(env))
+        try:
+            char = int(env)
+        except ValueError:
+            raise ValueError(f"MONRES_FIELD={env!r} is not an integer characteristic") from None
+        return Field(char)
     return Field(0)
 
 

@@ -95,7 +95,6 @@ class LcmLattice:
         self.top = self.by_label[frozenset(range(1, self.r + 1))]
         self.atom_ids = [self.by_label[frozenset([i])] for i in range(1, self.r + 1)]
         self._complex_cache: dict = {}
-        self._homology_cache: dict = {}
         self._dims_cache: dict = {}
 
     # -- construction ------------------------------------------------
@@ -153,11 +152,8 @@ class LcmLattice:
     def id_of_label(self, A) -> int:
         key = frozenset(A)
         if key not in self.by_label:
-            raise KeyError(f"no lattice element with label {sorted(key)}")
+            raise ValueError(f"no lattice element with label {sorted(key)}")
         return self.by_label[key]
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.elements[a].A <= self.elements[b].A
 
     def lt(self, a: int, b: int) -> bool:
         return self.elements[a].A < self.elements[b].A
@@ -265,14 +261,12 @@ class LcmLattice:
     def homology_at(self, m_id: int, field: Field):
         """dict dim -> (dim_k H~, representative Chains) for Delta_m; {} where it vanishes.
 
-        The dims are `homology_dims_at`'s; Delta_m's cycles are picked at their levels alone.
+        The dims are `homology_dims_at`'s; Delta_m's cycles are picked at their levels
+        alone, on each call: `HomologyBasis.canonical` keeps the ones it reads.
         """
-        cache = self._homology_cache.setdefault(field.char, {})
-        if m_id not in cache:
-            dims = self.homology_dims_at(m_id, field)
-            cx = self.complex_at(m_id, field) if dims else None
-            cache[m_id] = {d: (n, reduced_cycles(cx, d)) for d, n in dims.items()}
-        return cache[m_id]
+        dims = self.homology_dims_at(m_id, field)
+        cx = self.complex_at(m_id, field) if dims else None
+        return {d: (n, reduced_cycles(cx, d)) for d, n in dims.items()}
 
     def is_homology_basis(self, m_id: int, field: Field, d: int, cycles) -> bool:
         """Whether the classes of the d-chains `cycles` form a basis of H~_d(Delta_m).

@@ -38,9 +38,6 @@ class Monomial:
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
     def _check(self, other: "Monomial"):
         if self.n != other.n:
             raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
@@ -58,10 +55,6 @@ class Monomial:
         if not other.divides(self):
             raise ValueError("quotient of non-divisible monomials")
         return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def sort_key(self):
-        """Total degree then lexicographic exponent order (deterministic)."""
-        return (self.total_degree(), self.exponents)
 
     def to_str(self, names) -> str:
         parts = []

@@ -317,8 +317,11 @@ class ConstructionOutput:
     labels: list                      # per level: list of (element id, dim, j)
     matrices: list                    # scalar Matrix per level (index 0 unused)
     homogenized: MultigradedComplex
-    is_complex: bool
     report: VerificationReport
+
+    @property
+    def is_complex(self) -> bool:
+        return self.report.complex
 
     def is_minimal_resolution(self) -> bool:
         return self.report.is_resolution and self.report.is_minimal
@@ -400,7 +403,11 @@ def _assemble(field: Field, levels, column, symbolic: bool = False):
 
 
 def _output(kind: str, lat: LcmLattice, hb: HomologyBasis, levels, matrices) -> ConstructionOutput:
-    """Homogenize the scalar maps over the lattice and verify the result."""
+    """Homogenize the scalar maps over the lattice and verify the result.
+
+    Each nonzero entry joins a class at m to one at a maximal Betti element strictly below m
+    (in degree 1, an atom to the bottom): homogeneous and minimal, so d^2 alone decides `is_complex`.
+    """
     names = lat.ideal.names
     lv_elems = []
     for i, lv in enumerate(levels):
@@ -416,9 +423,7 @@ def _output(kind: str, lat: LcmLattice, hb: HomologyBasis, levels, matrices) -> 
             out.append(MgBasisElement(label, mdeg, i))
         lv_elems.append(out)
     hom = MultigradedComplex(lat.ideal, hb.field, lv_elems, matrices)
-    report = verify_resolution(hom, lat)
-    return ConstructionOutput(kind, levels, matrices, hom,
-                              report.complex if report.homogeneous else hom.is_complex(), report)
+    return ConstructionOutput(kind, levels, matrices, hom, verify_resolution(hom, lat))
 
 
 def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> ConstructionOutput:

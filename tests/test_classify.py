@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import monres.classify as classify_module
 from monres.chains import Chain
-from monres.classify import (IMPLICATIONS, MAX_RLM_PARAMS, _certify_exactness_all_choices,
-                             analyse_rlm, classify, is_homologically_monotonic, is_lattice_linear,
+from monres.classify import (IMPLICATIONS, MAX_RLM_PARAMS, ClassVerdict,
+                             _certify_exactness_all_choices, analyse_rlm, classify,
+                             is_homologically_monotonic, is_lattice_linear, is_nearly_hm,
                              lattice_linear_greedy)
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
@@ -307,6 +308,8 @@ def assert_breaking_point_from_a_least_degree_term(lat, field):
             for k in (k for k in p.terms if len(k) == low):
                 assert p.evaluate({v: field.one for v in k}) == p.terms[k], (p, k)
     assert (breaking is not None) == nonzero
+    # `analyse_rlm` names the breaking instance without building it
+    assert breaking is None or not sym.evaluate(breaking).is_complex
     return nonzero
 
 
@@ -323,3 +326,59 @@ def test_breaking_point_on_named_lattices(lattices, char):
 def test_breaking_point_on_generated_lattices(case):
     field, lat = case
     assert_breaking_point_from_a_least_degree_term(lat, field)
+
+
+# -- the monotonicity scans against scans over the whole lattice ---------------
+
+
+def ref_is_homologically_monotonic(lat, field):
+    """The scan over every nonbottom element, skipping those without homology."""
+    dims = {e.id: lat.homology_dims_at(e.id, field) for e in lat.elements if e.id != lat.bottom}
+    for m1, d1 in dims.items():
+        if not d1:
+            continue
+        for m2, d2 in dims.items():
+            if not d2 or not lat.lt(m1, m2):
+                continue
+            if max(d1) >= min(d2):
+                return ClassVerdict(
+                    "no",
+                    f"{sorted(lat.element(m1).A)} < {sorted(lat.element(m2).A)} with dims {sorted(d1)} vs {sorted(d2)}",
+                )
+    return ClassVerdict("yes")
+
+
+def ref_is_nearly_hm(lat, field):
+    """The scan over every chain m1 < m2 < m3 of nonbottom elements."""
+    dims = {e.id: lat.homology_dims_at(e.id, field) for e in lat.elements if e.id != lat.bottom}
+    for m1, d1 in dims.items():
+        for m2, d2 in dims.items():
+            if not lat.lt(m1, m2):
+                continue
+            for i in set(d1) & set(d2):
+                for m3, d3 in dims.items():
+                    if lat.lt(m2, m3) and (i + 1) in d3:
+                        return ClassVerdict(
+                            "no",
+                            f"{sorted(lat.element(m1).A)} < {sorted(lat.element(m2).A)} share dim {i}, "
+                            f"{sorted(lat.element(m3).A)} has dim {i + 1}",
+                        )
+    return ClassVerdict("yes")
+
+
+def assert_monotonicity_scans_match(lat, field):
+    assert is_homologically_monotonic(lat, field) == ref_is_homologically_monotonic(lat, field)
+    assert is_nearly_hm(lat, field) == ref_is_nearly_hm(lat, field)
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_monotonicity_scans_match_reference_on_named_lattices(lattices, char):
+    for lat in lattices.values():
+        assert_monotonicity_scans_match(lat, Field(char))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=generated_lattices(8))
+def test_monotonicity_scans_match_reference_on_generated_lattices(case):
+    field, lat = case
+    assert_monotonicity_scans_match(lat, field)

@@ -514,6 +514,21 @@ def test_choices_label_outside_lattice_is_precondition(capsys, ideal_file, tmp_p
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_choices_label_outside_lattice_is_named_unquoted(capsys, ideal_file, tmp_path):
+    path = tmp_path / "choices.json"
+    # lcm(a*c, b^2*c) is divisible by a*b: {2, 3} closes to the top
+    path.write_text(json.dumps({"preimages": [{"A": [3, 2], "dim": 0, "chain": "-2+3"}]}))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 4
+    assert capsys.readouterr().err == "error: no lattice element with label [2, 3]\n"
+
+
+def test_monres_field_that_is_no_integer_is_named(capsys, ideal_file, monkeypatch):
+    monkeypatch.setenv("MONRES_FIELD", "abc")
+    assert main(["betti", ideal_file("triangle")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: MONRES_FIELD='abc' is not an integer characteristic\n"
+
+
 def _complex_doc(capsys, ideal_file):
     code, out = run(capsys, "--json", "resolve", ideal_file("triangle"))
     assert code == 0

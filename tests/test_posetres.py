@@ -297,19 +297,83 @@ def test_poset_construction_betti_ranks(lattices):
     assert out.homogenized.betti_table(lat) == lat.betti_numbers(QQ)
 
 
-def test_output_checks_d2_itself_where_the_sequence_is_not_homogeneous(lattices):
-    # a construction joins an element only to elements below it, so its output is
-    # homogeneous and reuses verification's d^2 check; with the atoms relabelled
-    # the same maps are still a complex, but no longer homogeneous
-    from monres.posetres import _output
+def maximal_betti_below(lat, field, m, i=None):
+    """The maximal nonbottom Betti elements strictly below m; with i, those
+    with homology in dimension i - 1."""
+    A = lat.element(m).A
+    pool = [e for e in lat.elements if e.id != lat.bottom and e.A < A and lat.homology_dims_at(e.id, field)
+            and (i is None or i - 1 in lat.homology_dims_at(e.id, field))]
+    return [e.id for e in pool if not any(e.A < f.A for f in pool)]
 
-    lat = lattices["hexagon"]
-    out = poset_construction(lat, QQ)
-    levels = [list(lv) for lv in out.labels]
-    levels[1].reverse()
-    bad = _output("poset", lat, HomologyBasis.canonical(lat, QQ), levels, out.matrices)
-    assert out.report.homogeneous and out.is_complex == out.report.complex
-    assert not bad.report.homogeneous and not bad.report.complex and bad.is_complex
+
+def assert_joins_maximal_betti_below(lat, field, levels, nonzero, by_dim):
+    """Each column at m reads the maximal Betti elements strictly below m (of
+    B_d(m) in the rlm construction), and each nonzero entry (i, r, c) joins
+    it to a class at one of them, or in degree 1 to the bottom."""
+    gammas = {}
+    for i in range(2, len(levels)):
+        for m, d, _ in levels[i]:
+            want = maximal_betti_below(lat, field, m, d if by_dim else None)
+            assert reduced_subcomplex(lat, field, m, d if by_dim else None)[0] == want
+            gammas[m, d] = want
+    for i, r, c in nonzero:
+        m, d, _ = levels[i][c]
+        assert levels[i - 1][r][0] in (gammas[m, d] if i > 1 else [lat.bottom]), (i, r, c)
+
+
+def assert_homogeneous_and_minimal(lat, field, out):
+    """A construction output is homogeneous and minimal, so verification's
+    d^2 check is the complex test."""
+    assert_joins_maximal_betti_below(lat, field, out.labels, (
+        (i, r, c) for i in range(1, len(out.labels)) for r, row in enumerate(out.matrices[i].rows) for c in row),
+        out.kind == "rlm")
+    assert out.report.homogeneous and out.homogenized.is_minimal()
+    assert out.is_complex == out.homogenized.is_complex()
+
+
+def assert_outputs_homogeneous_and_minimal(lat, field):
+    """The premise on the poset and canonical rlm constructions, on the rlm
+    construction with the preimages extracted from the atomic resolution,
+    and on every instance of the symbolic construction: an instance is
+    nonzero only where a symbolic entry is."""
+    assert_homogeneous_and_minimal(lat, field, poset_construction(lat, field))
+    assert_homogeneous_and_minimal(lat, field, rlm_construction(lat, field))
+    basis, _ = atomic_lattice_resolution(lat, field)
+    hb, pre = extract_basis_and_preimages(lat, field, basis)
+    assert_homogeneous_and_minimal(lat, field, rlm_construction(lat, field, hb, preimages=pre))
+    sym = rlm_symbolic(lat, field, max_params=MAX_RLM_PARAMS)
+    if sym is not None:
+        assert_joins_maximal_betti_below(lat, field, sym.levels, (
+            (i, r, c) for i in range(1, len(sym.levels))
+            for r, row in enumerate(sym.matrices[i]) for c, p in enumerate(row) if not p.is_zero()), True)
+        assert_homogeneous_and_minimal(lat, field, sym.evaluate({v: field.one for v in range(len(sym.params))}))
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_outputs_homogeneous_and_minimal_on_named_lattices(lattices, char):
+    for lat in lattices.values():
+        assert_outputs_homogeneous_and_minimal(lat, Field(char))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=generated_lattices(7))
+def test_outputs_homogeneous_and_minimal_on_generated_lattices(case):
+    field, lat = case
+    assert_outputs_homogeneous_and_minimal(lat, field)
+
+
+def test_outputs_homogeneous_and_minimal_with_explicit_preimages(lattices):
+    lat = lattices["cone3b"]
+    top, m12 = lat.top, lat.id_of_label({1, 2})
+    hb = HomologyBasis.canonical(lat, QQ).with_chains({
+        (top, 0): [ch("-1+3")], (m12, 0): [ch("-1+2")]})
+    for chain in (ch("-1+3"), ch("-2+3")):
+        assert_homogeneous_and_minimal(lat, QQ, rlm_construction(lat, QQ, hb, preimages={(top, 0, 0): chain}))
+    lat = lattices["split6"]
+    top, m123 = lat.top, lat.id_of_label({1, 2, 3})
+    hb = HomologyBasis.canonical(lat, QQ).with_chains({(top, 1): [ch("45-46+56")], (top, 0): [ch("-1+4")]})
+    pre = {(top, 1, 0): ch("45-46+56"), (top, 0, 0): ch("-1+4"), (m123, 0, 0): ch("-1+3")}
+    assert_homogeneous_and_minimal(lat, QQ, rlm_construction(lat, QQ, hb, preimages=pre))
 
 
 def test_poset_equals_rlm_for_hm(lattices):
@@ -645,7 +709,7 @@ def test_sigma_i_surjective_and_sufficient_iso(lattices):
                 for x in lat.elements:
                     if x.id == lat.bottom or not lat.lt(x.id, e.id):
                         continue
-                    if any(lat.leq(x.id, g) for g in gammas):
+                    if any(x.A <= lat.element(g).A for g in gammas):
                         continue
                     stray += lat.homology_at(x.id, QQ).get(d, (0,))[0]
                 sub_dim = reduced_homology(complex_of_facets(QQ, facets)).get(d, (0,))[0]
