@@ -19,11 +19,11 @@ from dataclasses import dataclass, field as dc_field
 
 from monres.lattice import LcmLattice
 from monres.linalg import Field
-from monres.posetres import (HomologyBasis, poset_construction, rlm_construction,
+from monres.posetres import (HomologyBasis, inexact_element, poset_construction, rlm_construction,
                              rlm_symbolic, certified_constant_rank)
 # lift_cycle_in_simplex is only re-exported: bench/test_bench.py checks, on
 # this binding, that the tracer also patches a function another module bound.
-from monres.resolutions import closure_walk, first_inexact_element, lift_cycle_in_simplex  # noqa: F401
+from monres.resolutions import closure_walk, lift_cycle_in_simplex  # noqa: F401
 
 
 @dataclass
@@ -202,36 +202,33 @@ class RlmAnalysis:
 def _certify_exactness_all_choices(sym) -> bool:
     """All restricted frames exact for every preimage choice.
 
-    The restricted-exactness walk `first_inexact_element` ranks only at
-    the elements that carry a basis class, here by constant-pivot
-    elimination: if each of those ranks is parameter-independent and the
-    walk finds every restriction exact (H0 included), the construction is
-    a resolution for every parameter value.  A rank that is not certified
+    The restricted-exactness walk `inexact_element` ranks only at the
+    elements that carry a basis class, here by constant-pivot elimination:
+    if each of those ranks is parameter-independent and the walk finds
+    every restriction exact (H0 included), the construction is a
+    resolution for every parameter value.  A rank that is not certified
     stops the walk.
     """
-    lat, field = sym.lat, sym.field
-
     def rank(i, rows, cols):
-        r, certified = certified_constant_rank(field, [[sym.matrices[i][u][v] for v in cols] for u in rows])
+        r, certified = certified_constant_rank(sym.field, [[sym.matrices[i][u][v] for v in cols] for u in rows])
         return r if certified else None
 
-    at = [[m for m, _, _ in lv] for lv in sym.levels]
-    return first_inexact_element(lat, field, at, rank) is None
+    return inexact_element(sym.lat, sym.field, sym.levels, rank) is None
 
 
 def analyse_rlm(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> RlmAnalysis:
     """Evidence for the homology-linear verdicts, from the symbolic rlm construction.
 
-    The canonical instance is its evaluate({}).  Above MAX_RLM_PARAMS
-    parameters only that instance is built, by rlm_construction.
+    The canonical instance is rlm_construction, whose columns the
+    symbolic construction then reads from hb.  Above MAX_RLM_PARAMS
+    parameters only that instance is analysed.
     """
     if hb is None:
         hb = HomologyBasis.canonical(lat, field)
+    canonical_ok = rlm_construction(lat, field, hb).is_minimal_resolution()
     sym = rlm_symbolic(lat, field, hb, max_params=MAX_RLM_PARAMS)
     if sym is None:
-        canonical_ok = rlm_construction(lat, field, hb).is_minimal_resolution()
         return RlmAnalysis(canonical_ok, False, False, None, False, not canonical_ok, False)
-    canonical_ok = sym.evaluate({}).is_minimal_resolution()
     comps = sym.composites()
     entries = [p for mat in comps.values() for row in mat for p in row]
     composites_zero = all(p.is_zero() for p in entries)

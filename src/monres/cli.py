@@ -166,24 +166,32 @@ def _choice_chain(field, text, dim, r):
     return chain
 
 
-def _choice_entries(doc, key, fields):
-    """The `key` list of a choices file: objects holding `fields` (see `json_object`)."""
+def _choice_entries(doc, key, fields, names):
+    """The `key` list of a choices file: objects holding `fields` (see `json_object`),
+    no two naming one label (as a set) with equal values at the keys `names`."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise IdealParseError(f"{key!r} in the choices file is not a list")
+    seen: dict = {}
     for k, entry in enumerate(entries):
         where = f"{key} entry {k} in the choices file"
         json_object(entry, {"A": (list, int), **fields}, where)
         if type(entry.get("j", 0)) is not int:
             raise IdealParseError(f"{where}: 'j' is not an int")
+        values = [entry.get(n, 0) for n in names]
+        first = seen.setdefault((frozenset(entry["A"]), *values), k)
+        if first != k:
+            named = ", ".join(f"{n} {v}" for n, v in zip(names, values))
+            raise IdealParseError(f"{key} entries {first} and {k} in the choices file both name "
+                                  f"A {sorted(set(entry['A']))}, {named}")
     return entries
 
 
 def _load_choices(lat, field, path):
     """Explicit homology bases / preimages from a JSON file."""
     doc = json_document(_read_input(path), {}, "the choices file")
-    bases = _choice_entries(doc, "bases", {"dim": int, "chains": (list, str)})
-    lifts = _choice_entries(doc, "preimages", {"dim": int, "chain": str})
+    bases = _choice_entries(doc, "bases", {"dim": int, "chains": (list, str)}, ("dim",))
+    lifts = _choice_entries(doc, "preimages", {"dim": int, "chain": str}, ("dim", "j"))
     hb = HomologyBasis.canonical(lat, field)
     given = {}
     for entry in bases:
@@ -201,8 +209,8 @@ def _load_choices(lat, field, path):
 def _emit_construction(args, lat, out):
     verdict = {
         "complex": out.is_complex,
-        "resolution": out.report.is_resolution,
-        "minimal": out.report.is_resolution and out.report.is_minimal,
+        "resolution": out.is_minimal_resolution(),
+        "minimal": out.is_minimal_resolution(),
     }
     if args.json:
         doc = json.loads(out.homogenized.to_json())

@@ -325,7 +325,7 @@ class LcmLattice:
         doc = json_document(text, {"elements": list}, "the lattice JSON")
         labels = [tuple(json_object(e, {"A": (list, int)}, f"the lattice JSON: elements[{k}]")["A"])
                   for k, e in enumerate(doc["elements"])]
-        if "vars" in doc and "gens" in doc:
+        if "vars" in doc or "gens" in doc:
             json_object(doc, {"vars": (list, str), "gens": (list, str)}, "the lattice JSON")
             try:
                 ideal = MonomialIdeal(doc["vars"], [parse_monomial(g, doc["vars"]) for g in doc["gens"]])

@@ -11,20 +11,22 @@ complexes at the lattice elements:
   where the comparison map is only surjective; a preimage choice enters
   and is either canonical, explicit, or left as a symbolic parameter.
 
-Both outputs are sequences, not necessarily complexes; the homogenized
-multigraded sequence is returned together with a verification report.
+Both outputs are sequences, not necessarily complexes; whether one is a
+minimal resolution is decided by d^2 and restricted exactness alone (see
+`ConstructionOutput`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from monres.chains import Chain, boundary, format_chain
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
-from monres.resolutions import (MgBasisElement, MultigradedComplex, TaylorBasis,
-                                VerificationReport, verify_resolution)
-from monres.vcomplex import class_in_homology, complex_of_facets, in_complex, reduced_cycles
+from monres.resolutions import MgBasisElement, MultigradedComplex, TaylorBasis, first_inexact_element
+from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, products_vanish,
+                             reduced_cycles)
 
 
 # -- homology bases ----------------------------------------------------
@@ -313,18 +315,60 @@ def certified_constant_rank(field: Field, A):
 
 @dataclass
 class ConstructionOutput:
-    kind: str
-    labels: list                      # per level: list of (element id, dim, j)
-    matrices: list                    # scalar Matrix per level (index 0 unused)
-    homogenized: MultigradedComplex
-    report: VerificationReport
+    """A construction's level labels (element id, dim, j) and scalar maps (index 0 unused).
 
-    @property
+    Each basis element sits at its label's element, and each nonzero entry
+    joins a class at m to one at a maximal Betti element strictly below m
+    (in degree 1, an atom to the bottom).  So the multigraded sequence is
+    homogeneous and minimal, every basis element sits at an element of the
+    lattice, and H0 = S/M, as degree 1 is the all-ones row on the atoms.
+    It is then a minimal resolution iff d^2 = 0 (`is_complex`) and every
+    frame restricted below an element is exact (`inexact_at` is None), the
+    Peeva-Velasco criterion; both are computed on first read.  The
+    homogenized complex is built only for display.
+    """
+
+    lat: LcmLattice
+    hb: HomologyBasis
+    labels: list
+    matrices: list
+
+    @cached_property
     def is_complex(self) -> bool:
-        return self.report.complex
+        return products_vanish(self.matrices)
+
+    @cached_property
+    def inexact_at(self):
+        """The first element where a restricted frame is not exact, or None."""
+        return inexact_element(self.lat, self.hb.field, self.labels,
+                               lambda i, rows, cols: self.matrices[i].submatrix(rows, cols).rank())
 
     def is_minimal_resolution(self) -> bool:
-        return self.report.is_resolution and self.report.is_minimal
+        return self.is_complex and self.inexact_at is None
+
+    @cached_property
+    def homogenized(self) -> MultigradedComplex:
+        lat, hb = self.lat, self.hb
+        names = lat.ideal.names
+        levels = []
+        for i, lv in enumerate(self.labels):
+            out = []
+            for (m, d, j) in lv:
+                mdeg = lat.element(m).mdeg
+                if i == 0:
+                    label = "1"
+                elif i == 1:
+                    label = format_chain(hb.classes_at(m, -1)[0]) if hb.classes_at(m, -1) else f"[{m}]"
+                else:
+                    label = f"[{format_chain(hb.classes_at(m, d)[j])}]@{mdeg.to_str(names)}"
+                out.append(MgBasisElement(label, mdeg, i))
+            levels.append(out)
+        return MultigradedComplex(lat.ideal, hb.field, levels, self.matrices)
+
+
+def inexact_element(lat: LcmLattice, field: Field, levels, rank):
+    """`first_inexact_element` with each basis element at its label's element."""
+    return first_inexact_element(lat, field, [[m for m, _, _ in lv] for lv in levels], rank)
 
 
 def _construction_levels(lat: LcmLattice, hb: HomologyBasis):
@@ -402,30 +446,6 @@ def _assemble(field: Field, levels, column, symbolic: bool = False):
     return matrices
 
 
-def _output(kind: str, lat: LcmLattice, hb: HomologyBasis, levels, matrices) -> ConstructionOutput:
-    """Homogenize the scalar maps over the lattice and verify the result.
-
-    Each nonzero entry joins a class at m to one at a maximal Betti element strictly below m
-    (in degree 1, an atom to the bottom): homogeneous and minimal, so d^2 alone decides `is_complex`.
-    """
-    names = lat.ideal.names
-    lv_elems = []
-    for i, lv in enumerate(levels):
-        out = []
-        for (m, d, j) in lv:
-            mdeg = lat.element(m).mdeg
-            if i == 0:
-                label = "1"
-            elif i == 1:
-                label = format_chain(hb.classes_at(m, -1)[0]) if hb.classes_at(m, -1) else f"[{m}]"
-            else:
-                label = f"[{format_chain(hb.classes_at(m, d)[j])}]@{mdeg.to_str(names)}"
-            out.append(MgBasisElement(label, mdeg, i))
-        lv_elems.append(out)
-    hom = MultigradedComplex(lat.ideal, hb.field, lv_elems, matrices)
-    return ConstructionOutput(kind, levels, matrices, hom, verify_resolution(hom, lat))
-
-
 def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None) -> ConstructionOutput:
     """The poset construction over the maximal Betti elements below each m."""
     if hb is None:
@@ -435,7 +455,7 @@ def poset_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None =
     def column(lbl, row_index):
         return _column(lat, hb, lbl, row_index)[2]
 
-    return _output("poset", lat, hb, levels, _assemble(field, levels, column))
+    return ConstructionOutput(lat, hb, levels, _assemble(field, levels, column))
 
 
 def rlm_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = None,
@@ -456,7 +476,7 @@ def rlm_construction(lat: LcmLattice, field: Field, hb: HomologyBasis | None = N
     def column(lbl, row_index):
         return _column(lat, hb, lbl, row_index, lbl[1], preimages)[2]
 
-    return _output("rlm", lat, hb, levels, _assemble(field, levels, column))
+    return ConstructionOutput(lat, hb, levels, _assemble(field, levels, column))
 
 
 @dataclass
@@ -472,7 +492,7 @@ class SymbolicRlm:
 
     def evaluate(self, values) -> ConstructionOutput:
         mats = [None] + [poly_matrix_eval(self.field, m, values) for m in self.matrices[1:]]
-        return _output("rlm", self.lat, self.hb, self.levels, mats)
+        return ConstructionOutput(self.lat, self.hb, self.levels, mats)
 
     def composites(self):
         """Symbolic products psi_{i-1} * psi_i for i >= 2."""

@@ -20,7 +20,7 @@ from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import (IdealParseError, Monomial, MonomialIdeal, json_document, json_object,
                               parse_monomial)
-from monres.vcomplex import BasedComplex, complex_of_facets
+from monres.vcomplex import BasedComplex, complex_of_facets, products_vanish
 
 
 @dataclass
@@ -85,10 +85,7 @@ class MultigradedComplex:
 
     def is_complex(self) -> bool:
         # with homogeneity, frame products vanish iff the S-matrix products do
-        for i in range(2, len(self.levels)):
-            if not self.frames[i - 1].mul(self.frames[i]).is_zero():
-                return False
-        return True
+        return products_vanish(self.frames)
 
     def is_minimal(self) -> bool:
         return not any(self.levels[i - 1][r].mdeg == self.levels[i][c].mdeg

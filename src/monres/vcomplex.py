@@ -57,10 +57,7 @@ class BasedComplex:
         return Matrix.zero(self.field, self.level_dim(i - 1), self.level_dim(i))
 
     def is_complex(self) -> bool:
-        for i in range(2, self.length + 1):
-            if not self.differential(i - 1).mul(self.differential(i)).is_zero():
-                return False
-        return True
+        return products_vanish(self.maps)
 
     def rank(self, i: int) -> int:
         """Rank of d_i (0 off the ends), computed once per complex."""
@@ -101,6 +98,11 @@ class BasedComplex:
 
     def is_exact(self) -> bool:
         return all(self.homology_dim(i) == 0 for i in range(self.length + 1))
+
+
+def products_vanish(maps) -> bool:
+    """d^2 = 0: maps[i - 1] * maps[i] is zero for every i >= 2 (maps[0] unused)."""
+    return all(maps[i - 1].mul(maps[i]).is_zero() for i in range(2, len(maps)))
 
 
 def exact_closure(U: BasedComplex):

@@ -17,7 +17,8 @@ from monres.resolutions import (atomic_lattice_resolution, minimize_resolution, 
                                 verify_resolution)
 
 from test_classify import assert_monotonicity_scans_match
-from test_posetres import assert_outputs_homogeneous_and_minimal
+from test_posetres import (assert_output_matches_verification, assert_outputs_homogeneous_and_minimal,
+                           construction_outputs)
 
 
 def atomic_label_families(r):
@@ -83,6 +84,15 @@ def test_every_atomic_lattice_on_at_most_4_atoms(char):
     field = Field(char)
     for fam in (fam for r in CLASSES for fam in CLASSES[r]):
         assert_pipeline_agrees(LcmLattice.from_labels(fam), field)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_construction_outputs_match_verification_on_at_most_4_atoms(char):
+    field = Field(char)
+    for fam in (fam for r in CLASSES for fam in CLASSES[r]):
+        lat = LcmLattice.from_labels(fam)
+        for out in construction_outputs(lat, field):
+            assert_output_matches_verification(lat, out)
 
 
 @pytest.mark.parametrize("char", [0, 2])

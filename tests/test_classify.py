@@ -14,7 +14,7 @@ from monres.classify import (IMPLICATIONS, MAX_RLM_PARAMS, ClassVerdict,
 from monres.lattice import LcmLattice
 from monres.linalg import Field, Matrix
 from monres.monomials import random_minimal_ideal
-from monres.posetres import Poly, rlm_symbolic
+from monres.posetres import Poly, SymbolicRlm, rlm_symbolic
 from monres.resolutions import ClosureChains, lift_cycle_in_simplex
 
 from conftest import random_corpus
@@ -185,12 +185,25 @@ def test_over_budget_skips_symbolic_analysis(lattices, monkeypatch, name):
 
 @pytest.mark.parametrize("char", [0, 32003])
 def test_classify_within_budget_builds_no_separate_canonical_rlm(lattices, monkeypatch, char):
-    def refuse(*args, **kwargs):
-        raise AssertionError("rlm_construction called within the parameter budget")
+    # the canonical instance is rlm_construction, built once; the symbolic
+    # construction reads its columns and never evaluates that instance again
+    real, calls = classify_module.rlm_construction, []
+    evaluate = SymbolicRlm.evaluate
 
-    monkeypatch.setattr(classify_module, "rlm_construction", refuse)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def not_canonical(self, values):
+        assert values, "the canonical instance evaluated again"
+        return evaluate(self, values)
+
+    monkeypatch.setattr(classify_module, "rlm_construction", counted)
+    monkeypatch.setattr(SymbolicRlm, "evaluate", not_canonical)
     for name, lat in lattices.items():
+        calls.clear()
         assert classify(lat, Field(char)).consistent(), name
+        assert len(calls) == 1, name
 
 
 # -- differential check against the stand-alone greedy run ----------------

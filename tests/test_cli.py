@@ -676,3 +676,44 @@ def test_python_dash_m_runs_the_cli(capsys):
     done = subprocess.run([sys.executable, "-m", "monres", *argv], capture_output=True, text=True, env=env,
                           timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (*run(capsys, *argv), "")
+
+
+@pytest.mark.parametrize("given, missing", [("vars", "gens"), ("gens", "vars")])
+def test_lattice_json_with_half_an_ideal_names_the_missing_key(capsys, tmp_path, given, missing):
+    # without the other key the dump would silently fall back to its labels
+    elements = [{"A": []}, {"A": [1]}, {"A": [2]}, {"A": [1, 2]}]
+    dump = tmp_path / "lattice.json"
+    dump.write_text(json.dumps({"elements": elements, given: ["x", "y"]}))
+    assert main(["betti", str(dump)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: the lattice JSON: {missing!r} is missing or not a list of str\n"
+
+
+@pytest.mark.parametrize("choices, message", [
+    pytest.param({"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["-1+3"]},
+                            {"A": [3, 2, 1], "dim": 0, "chains": ["-1+2"]}]},
+                 "bases entries 0 and 1 in the choices file both name A [1, 2, 3], dim 0", id="basis"),
+    pytest.param({"bases": [{"A": [1, 2, 3], "dim": 0, "chains": ["-1+2"]},
+                            {"A": [1, 2, 3], "dim": 0, "chains": ["-1+3"]}]},
+                 "bases entries 0 and 1 in the choices file both name A [1, 2, 3], dim 0", id="basis-reversed"),
+    pytest.param({"preimages": [{"A": [1, 2, 3], "dim": 0, "j": 0, "chain": "-1+3"},
+                                {"A": [1, 2], "dim": 0, "chain": "-1+2"},
+                                {"A": [2, 1, 3], "dim": 0, "chain": "-2+3"}]},
+                 "preimages entries 0 and 2 in the choices file both name A [1, 2, 3], dim 0, j 0", id="preimage"),
+])
+def test_choices_entry_given_twice_is_parse_error(capsys, ideal_file, tmp_path, choices, message):
+    # either order of the two entries is refused, and neither is kept silently
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps(choices))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error: {message}\n"
+
+
+def test_choices_entries_differing_in_dim_or_j_are_distinct(capsys, ideal_file, tmp_path):
+    # one label may carry entries in two dimensions, or for two classes
+    path = tmp_path / "choices.json"
+    path.write_text(json.dumps({"preimages": [{"A": [1, 2, 3], "dim": 0, "chain": "-1+3"},
+                                              {"A": [1, 2, 3], "dim": 0, "j": 1, "chain": "-2+3"}]}))
+    assert main(["rlm", ideal_file("cone3b"), "--choices", str(path)]) == 4
+    assert capsys.readouterr().err == "error: preimage at (5, 0, 1) names no construction column\n"

@@ -1,6 +1,7 @@
 """Mayer-Vietoris machinery: subcomplexes, comparison maps, both constructions."""
 
 import re
+import sys
 from collections import Counter
 from unittest.mock import patch
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import monres.classify as classify_module
 import monres.posetres as posetres
+import monres.resolutions as resolutions
 from monres.chains import Chain, boundary
 from monres.classify import MAX_RLM_PARAMS
 from monres.linalg import Field, Matrix
@@ -17,7 +19,9 @@ from monres.posetres import (HomologyBasis, SymbolicRlm, _assemble, _component_c
                              extract_basis_and_preimages, mv_connecting, poset_construction,
                              reduced_subcomplex, rlm_construction, rlm_symbolic, sigma_map,
                              sigma_preimage, Poly)
-from monres.resolutions import atomic_lattice_resolution, maximal_approximation
+from monres.cli import main
+from monres.resolutions import (MultigradedComplex, atomic_lattice_resolution, maximal_approximation,
+                                verify_resolution)
 from monres.vcomplex import (class_in_homology, complex_of_facets, in_complex, prune_facets,
                              reduced_cycles, reduced_homology, reduced_homology_dims)
 
@@ -282,7 +286,7 @@ def test_poset_construction_cone3(lattices):
     assert rows(out.matrices[1]) == [q(1, 1, 1)]
     assert rows(out.matrices[2]) == [q(-1, 0), q(1, 0), q(0, 1)]
     assert not out.is_complex
-    assert not out.report.is_resolution
+    assert not out.is_minimal_resolution()
 
 
 def test_poset_construction_rigid_is_resolution(lattices):
@@ -321,13 +325,13 @@ def assert_joins_maximal_betti_below(lat, field, levels, nonzero, by_dim):
         assert levels[i - 1][r][0] in (gammas[m, d] if i > 1 else [lat.bottom]), (i, r, c)
 
 
-def assert_homogeneous_and_minimal(lat, field, out):
+def assert_homogeneous_and_minimal(lat, field, out, by_dim=True):
     """A construction output is homogeneous and minimal, so verification's
     d^2 check is the complex test."""
     assert_joins_maximal_betti_below(lat, field, out.labels, (
         (i, r, c) for i in range(1, len(out.labels)) for r, row in enumerate(out.matrices[i].rows) for c in row),
-        out.kind == "rlm")
-    assert out.report.homogeneous and out.homogenized.is_minimal()
+        by_dim)
+    assert out.homogenized.homogeneity_failure() is None and out.homogenized.is_minimal()
     assert out.is_complex == out.homogenized.is_complex()
 
 
@@ -336,7 +340,7 @@ def assert_outputs_homogeneous_and_minimal(lat, field):
     construction with the preimages extracted from the atomic resolution,
     and on every instance of the symbolic construction: an instance is
     nonzero only where a symbolic entry is."""
-    assert_homogeneous_and_minimal(lat, field, poset_construction(lat, field))
+    assert_homogeneous_and_minimal(lat, field, poset_construction(lat, field), False)
     assert_homogeneous_and_minimal(lat, field, rlm_construction(lat, field))
     basis, _ = atomic_lattice_resolution(lat, field)
     hb, pre = extract_basis_and_preimages(lat, field, basis)
@@ -374,6 +378,103 @@ def test_outputs_homogeneous_and_minimal_with_explicit_preimages(lattices):
     hb = HomologyBasis.canonical(lat, QQ).with_chains({(top, 1): [ch("45-46+56")], (top, 0): [ch("-1+4")]})
     pre = {(top, 1, 0): ch("45-46+56"), (top, 0, 0): ch("-1+4"), (m123, 0, 0): ch("-1+3")}
     assert_homogeneous_and_minimal(lat, QQ, rlm_construction(lat, QQ, hb, preimages=pre))
+
+
+# -- construction outputs against the generic verification --------------
+
+
+def construction_outputs(lat, field):
+    """The poset and canonical rlm constructions, the rlm construction with
+    the preimages extracted from the atomic resolution, and the symbolic
+    construction at {} and at each {v: 1}."""
+    yield poset_construction(lat, field)
+    yield rlm_construction(lat, field)
+    basis, _ = atomic_lattice_resolution(lat, field)
+    hb, pre = extract_basis_and_preimages(lat, field, basis)
+    yield rlm_construction(lat, field, hb, preimages=pre)
+    sym = rlm_symbolic(lat, field, max_params=MAX_RLM_PARAMS)
+    if sym is not None:
+        yield sym.evaluate({})
+        for v in range(len(sym.params)):
+            yield sym.evaluate({v: field.one})
+
+
+def assert_output_matches_verification(lat, out):
+    """d^2, the verdict and the failing multidegree of a construction output
+    equal those `verify_resolution` finds on its homogenized complex, the
+    reference; d^2 also equals the dense products, which share no loop with
+    either.  Returns the kind of output, for coverage."""
+    report = verify_resolution(out.homogenized, lat)
+    dense = [DenseMatrix.of(m) for m in out.matrices[1:]]
+    assert out.is_complex == report.complex == all(a.mul(b).is_zero() for a, b in zip(dense, dense[1:]))
+    assert out.is_minimal_resolution() == (report.is_resolution and report.is_minimal)
+    if not out.is_complex:
+        assert report.restriction_skipped == "not a homogeneous complex"
+        return "not a complex"
+    at = out.inexact_at
+    assert (None if at is None else lat.element(at).mdeg.to_str(lat.ideal.names)) == report.restriction_failure
+    return "resolution" if at is None else "inexact"
+
+
+@pytest.mark.parametrize("char", [0, 2, 32003])
+def test_outputs_match_verification_on_named_lattices(lattices, char):
+    kinds = Counter(assert_output_matches_verification(lat, out)
+                    for lat in lattices.values() for out in construction_outputs(lat, Field(char)))
+    assert set(kinds) == {"not a complex", "inexact", "resolution"}, kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=generated_lattices(7))
+def test_outputs_match_verification_on_generated_lattices(case):
+    field, lat = case
+    for out in construction_outputs(lat, field):
+        assert_output_matches_verification(lat, out)
+
+
+def test_outputs_match_verification_with_explicit_preimages(lattices):
+    lat = lattices["cone3b"]
+    top, m12 = lat.top, lat.id_of_label({1, 2})
+    hb = HomologyBasis.canonical(lat, QQ).with_chains({
+        (top, 0): [ch("-1+3")], (m12, 0): [ch("-1+2")]})
+    for chain in (ch("-1+3"), ch("-2+3")):
+        assert_output_matches_verification(lat, rlm_construction(lat, QQ, hb, preimages={(top, 0, 0): chain}))
+    lat = lattices["split6"]
+    top, m123 = lat.top, lat.id_of_label({1, 2, 3})
+    hb = HomologyBasis.canonical(lat, QQ).with_chains({(top, 1): [ch("45-46+56")], (top, 0): [ch("-1+4")]})
+    pre = {(top, 1, 0): ch("45-46+56"), (top, 0, 0): ch("-1+4"), (m123, 0, 0): ch("-1+3")}
+    assert_output_matches_verification(lat, rlm_construction(lat, QQ, hb, preimages=pre))
+
+
+def test_only_the_display_builds_a_multigraded_complex(lattices, monkeypatch, tmp_path, capsys):
+    # classify decides every output by d^2 and restricted exactness alone;
+    # `monres poset` and `monres rlm` build the one complex they print
+    built, verified = [], []
+    init, verify = MultigradedComplex.__init__, resolutions.verify_resolution
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_verify(*args):
+        verified.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(MultigradedComplex, "__init__", counted_init)
+    for module in [m for name, m in sys.modules.items() if name.startswith("monres")]:
+        if getattr(module, "verify_resolution", None) is verify:
+            monkeypatch.setattr(module, "verify_resolution", counted_verify)
+    for lat in lattices.values():
+        for char in (0, 2, 32003):
+            classify_module.classify(lat, Field(char))
+    assert (len(built), len(verified)) == (0, 0)
+    for name, text in IDEALS.items():
+        path = tmp_path / f"{name}.ideal"
+        path.write_text(text + "\n")
+        for argv in (["poset", str(path)], ["rlm", str(path)], ["--json", "rlm", str(path)]):
+            built.clear()
+            assert main(argv) in (0, 2)
+            assert (len(built), len(verified)) == (1, 0), (name, argv)
+    capsys.readouterr()
 
 
 def test_poset_equals_rlm_for_hm(lattices):
@@ -516,7 +617,8 @@ def test_rlm_symbolic_canonical_instance_is_rlm_construction(lattices, name, cha
     assert canonical.matrices[1:] == direct.matrices[1:]
     assert canonical.homogenized.to_json() == direct.homogenized.to_json()
     assert canonical.is_complex == direct.is_complex
-    assert canonical.report == direct.report
+    assert canonical.is_minimal_resolution() == direct.is_minimal_resolution()
+    assert canonical.inexact_at == direct.inexact_at
 
 
 def test_rlm_symbolic_split6_identically_complex(lattices):

@@ -545,7 +545,7 @@ def test_verify_poset_output_failure(lattices):
     from monres.posetres import poset_construction
 
     out = poset_construction(lattices["cone3"], QQ)
-    assert not out.report.is_resolution
+    assert not verify_resolution(out.homogenized, lattices["cone3"]).is_resolution
     assert not out.is_complex
 
 
